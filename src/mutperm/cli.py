@@ -258,6 +258,9 @@ def main(argv=None):
     except (CliError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
     _emit(report, args.format)
     return code
 

@@ -12,12 +12,13 @@ fresh variable into each slot, then close under variable permutations.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
-from .linalg import Matrix, SpanReducer, kernel_basis
-from .mutation import expand, tree_shapes, _tree_term
+from .linalg import Matrix, SpanReducer, kernel_basis, rref
+from .mutation import _expander, expand, tree_shapes, _tree_term
 from .perm import mono_key
-from .terms import Template, TermPoly, term_vars
+from .terms import Template, TermPoly, rename_leaves, substitute, term_vars
 
 DEFAULT_DEGREE_LIMIT = 6
 
@@ -46,7 +47,9 @@ def magmatic_basis(n, kind="b", limit=DEFAULT_DEGREE_LIMIT):
 def expansion_matrix(n, limit=DEFAULT_DEGREE_LIMIT):
     """Rows: magmatic monomials; columns: perm monomials (global order)."""
     basis = magmatic_basis(n, limit=limit)
-    expansions = [expand(TermPoly.term(t)) for t in basis]
+    # one subtree cache for the whole basis: the monomials share subtrees
+    go = _expander()
+    expansions = [go(t) for t in basis]
     monos = sorted({m for e in expansions for m in e.terms}, key=mono_key)
     idx = {m: i for i, m in enumerate(monos)}
     rows = [{idx[m]: c for m, c in e.terms.items()} for e in expansions]
@@ -102,14 +105,9 @@ def _lift_once(poly, d, kind):
     out = [node(poly, new), node(new, poly)]
     for i in range(1, d + 1):
         xi = TermPoly.var(f"x{i}")
-        out.append(substitute_var(poly, f"x{i}", node(xi, new)))
-        out.append(substitute_var(poly, f"x{i}", node(new, xi)))
+        out.append(substitute(poly, {f"x{i}": node(xi, new)}))
+        out.append(substitute(poly, {f"x{i}": node(new, xi)}))
     return out
-
-
-def substitute_var(poly, name, repl):
-    from .terms import substitute
-    return substitute(poly, {name: repl})
 
 
 class _DegreeSpace:
@@ -125,7 +123,6 @@ class _DegreeSpace:
             mapping = {names[k]: names[k + 1], names[k + 1]: names[k]}
             perm = [0] * len(self.basis)
             for i, t in enumerate(self.basis):
-                from .terms import rename_leaves
                 perm[i] = self.index[rename_leaves(t, mapping)]
             self.transposition_maps.append(perm)
 
@@ -177,20 +174,26 @@ def consequence_span(identities, n, kind="b", limit=DEFAULT_DEGREE_LIMIT,
             vec = poly_to_vec(poly, space.index)
             reducer.insert(vec)
             done = saturated()
-        # close under variable permutations (adjacent transpositions)
-        while not done:
-            grew = False
-            for vec in list(reducer.pivot_rows.values()):
-                if done:
-                    break
-                for perm in space.transposition_maps:
-                    if reducer.insert(space.permuted(dict(vec), perm)):
-                        grew = True
-                        if saturated():
-                            done = True
-                            break
-            if not grew:
-                break
+        # Close under variable permutations (adjacent transpositions) with
+        # a FIFO worklist: each pivot row has the transpositions applied
+        # exactly once.  This accepts the same rows in the same order as
+        # passes that re-apply them to every pivot row until a pass adds
+        # nothing.  Pivot rows are never rewritten after insertion and
+        # pivot_rows iterates in insertion order, so the queue meets rows
+        # in the order those passes first visit them; a later visit only
+        # re-inserts vectors already in the span, which are rejected
+        # without changing any state.  So the accepted inserts happen in
+        # the same sequence and saturated() is called at the same points.
+        queue = deque(reducer.pivot_rows.values())
+        while queue and not done:
+            vec = queue.popleft()
+            for perm in space.transposition_maps:
+                if reducer.insert(space.permuted(vec, perm)):
+                    # the accepted row is the newest pivot row
+                    queue.append(next(reversed(reducer.pivot_rows.values())))
+                    if saturated():
+                        done = True
+                        break
         if not done and saturated(force=True):
             done = True
         if d < n:
@@ -201,7 +204,6 @@ def consequence_span(identities, n, kind="b", limit=DEFAULT_DEGREE_LIMIT,
 
 def _kernel_dim(n, limit):
     mat = expansion_matrix(n, limit=limit)
-    from .linalg import rref
     _, rank = rref(mat)
     return mat.nrows - rank, mat
 
@@ -211,13 +213,16 @@ def new_identities(known, n, limit=DEFAULT_DEGREE_LIMIT):
     of ``known``.
 
     Returns {kernel_dim, consequence_dim, new_dim, representatives}.
-    ``new_dim`` counts how many additional generating identities are
-    needed to close the kernel at this degree: one degree-n identity
-    contributes its whole orbit under variable permutations, so the
-    number of generators is smaller than the dimension gap in general.
-    The generators are chosen greedily (largest orbit contribution first,
-    candidates drawn from the kernel basis reduced modulo the current
-    span), which is deterministic; ``representatives`` lists them.
+    ``new_dim`` is the size of a greedy generating set of new identities:
+    their orbits under variable permutations, together with the
+    consequences of ``known``, span the kernel at this degree.  One
+    degree-n identity contributes its whole orbit, so the set is smaller
+    than the dimension gap in general.  The generators are chosen greedily
+    (largest orbit contribution first, candidates drawn from the kernel
+    basis reduced modulo the current span), which is deterministic;
+    ``representatives`` lists them.  A greedy set need not be a smallest
+    one, so ``new_dim`` is an upper bound on the number of new generators
+    needed.
     Raises ValueError (with a witness) if some known candidate is not an
     identity of mutations of perm algebras.
     """
@@ -235,17 +240,19 @@ def new_identities(known, n, limit=DEFAULT_DEGREE_LIMIT):
     cdim = len(cons)
 
     basis = magmatic_basis(n, limit=limit)
-    index = {t: i for i, t in enumerate(basis)}
-    names = _xnames(n)
-    perms = list(itertools.permutations(names))
-
-    def orbit(vec):
-        poly = vec_to_poly({k: Fraction(c) for k, c in vec.items()}, basis)
-        return [poly_to_vec(poly.rename(dict(zip(names, pp))), index)
-                for pp in perms]
-
     rep_vecs = []
     if cdim < kdim:
+        # one index map over the magmatic basis per variable permutation
+        index = {t: i for i, t in enumerate(basis)}
+        names = _xnames(n)
+        maps = []
+        for pp in itertools.permutations(names):
+            mapping = dict(zip(names, pp))
+            maps.append([index[rename_leaves(t, mapping)] for t in basis])
+
+        def orbit(vec):
+            return [{m[i]: c for i, c in vec.items()} for m in maps]
+
         red = SpanReducer()
         for v in cons:
             red.insert(v)

@@ -53,10 +53,6 @@ class Matrix:
                 out[i] = s
         return out
 
-    def dense(self):
-        return [[row.get(j, Fraction(0)) for j in range(self.ncols)]
-                for row in self.rows]
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ncols == other.ncols
                 and self.rows == other.rows)
@@ -139,12 +135,17 @@ def _eliminate(rows, ncols, extras=None):
 def rref(m):
     """Reduced row echelon form and rank of a Matrix.
 
-    The RREF is unique for the fixed column order, hence deterministic.
+    The RREF of a row space is unique for the fixed column order, so the
+    rows are first thinned to a basis of their span by a SpanReducer and
+    only those (at most ncols) rows are fully eliminated; the result is
+    the same as eliminating every row, and deterministic.
     """
-    rows = [dict(r) for r in m.rows]
+    red = SpanReducer()
+    for r in m.rows:
+        red.insert(r)
+    rows = red.rows()
     pivots = _eliminate(rows, m.ncols)
-    rank = len(pivots)
-    return Matrix(rows[:rank], m.ncols, m.labels), rank
+    return Matrix(rows, m.ncols, m.labels), len(pivots)
 
 
 def kernel_basis(m):
@@ -193,38 +194,26 @@ def solve(m, rhs):
     return sol
 
 
-def in_span(rows, v, ncols):
-    """Is v a rational combination of the given rows?
-
-    Returns (True, coords) with coords[j] the coefficient of rows[j], or
-    (False, None).
-    """
-    cols = [{} for _ in range(ncols)]
-    for j, row in enumerate(rows):
-        for k, c in row.items():
-            cols[k][j] = c
-    mat = Matrix(cols, len(rows))
-    res = solve(mat, clean_vec(v))
-    if isinstance(res, Inconsistent):
-        return False, None
-    return True, res
-
-
 def _to_int_row(v):
-    """Scale a rational sparse vector to coprime integers."""
-    items = [(k, Fraction(c)) for k, c in v.items() if c]
-    if not items:
-        return {}
-    den = 1
-    for _, c in items:
-        den = den * c.denominator // gcd(den, c.denominator)
-    row = {k: int(c * den) for k, c in items}
+    """Scale a rational sparse vector to coprime integers with a positive
+    leading coefficient."""
+    if all(type(c) is int for c in v.values()):
+        row = {k: c for k, c in v.items() if c}
+    else:
+        items = [(k, Fraction(c)) for k, c in v.items() if c]
+        den = 1
+        for _, c in items:
+            den = den * c.denominator // gcd(den, c.denominator)
+        row = {k: int(c * den) for k, c in items}
+    if not row:
+        return row
     g = 0
     for c in row.values():
         g = gcd(g, c)
-    lead = row[min(row)]
-    if lead < 0:
+    if row[min(row)] < 0:
         g = -g
+    if g == 1:
+        return row
     return {k: c // g for k, c in row.items()}
 
 

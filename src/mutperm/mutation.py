@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import comb
 
 from .linalg import SpanReducer
-from .perm import (Elt, bracket, commutator, gkey, is_x, mono_key,
-                   param_degree, x_multidegree)
+from .perm import (Elt, bracket, commutator, gkey, mono_key, param_degree,
+                   x_multidegree)
 from .terms import TermPoly
 
 
@@ -36,13 +36,9 @@ def _resolve_leaf(name, assignment):
         raise ValueError(f"unresolved variable {name!r}") from None
 
 
-def expand(poly, assignment=None):
-    """Expand a bracket/product polynomial to a perm element.
-
-    Leaves default to the like-named generator (x<i>, p or q); other names
-    must appear in ``assignment``.  'b' nodes become the mutation product,
-    'm' nodes the ordinary perm product.
-    """
+def _expander(assignment=None):
+    """A term -> perm element expansion function that memoizes every
+    subterm it expands, across all the terms it is given."""
     cache = {}
 
     def go(t):
@@ -58,6 +54,17 @@ def expand(poly, assignment=None):
         cache[t] = r
         return r
 
+    return go
+
+
+def expand(poly, assignment=None):
+    """Expand a bracket/product polynomial to a perm element.
+
+    Leaves default to the like-named generator (x<i>, p or q); other names
+    must appear in ``assignment``.  'b' nodes become the mutation product,
+    'm' nodes the ordinary perm product.
+    """
+    go = _expander(assignment)
     out = Elt.zero()
     for t, c in poly.terms.items():
         out = out + go(t).scale(c)
@@ -179,7 +186,8 @@ def bracket_monomials(multidegree):
 
 def bracket_span(multidegree):
     """Expansions of all bracket monomials at the multidegree."""
-    return [expand(TermPoly.term(t)) for t in bracket_monomials(multidegree)]
+    go = _expander()
+    return [go(t) for t in bracket_monomials(multidegree)]
 
 
 def _mono_index(elts):
@@ -343,10 +351,10 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
 
     closed = True
     span_cache = {}
-    for b1 in elements:
-        d1 = sum(x_multidegree(next(iter(b1.value.terms))).values())
-        for b2 in elements:
-            d2 = sum(x_multidegree(next(iter(b2.value.terms))).values())
+    degrees = [sum(x_multidegree(next(iter(b.value.terms))).values())
+               for b in elements]
+    for b1, d1 in zip(elements, degrees):
+        for b2, d2 in zip(elements, degrees):
             if d1 + d2 > closure_degree:
                 continue
             prod = bracket(b1.value, b2.value)

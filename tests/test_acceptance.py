@@ -10,12 +10,12 @@ BUDGETS = {
     "degree3-expansions": 1,
     "bracket-relations": 1,
     "mutation-elements": 120,
-    "basis-B": 300,
+    "basis-B": 150,
     "vanishing-identities": 5,
     "degree3-identities": 10,
     "counterexample-algebra": 1,
-    "degree4-new-identities": 120,
-    "degree5-closure": 1800,
+    "degree4-new-identities": 20,
+    "degree5-closure": 120,
     "cohn-certificate": 5,
     "lie-admissibility": 600,
     "infrastructure": 60,

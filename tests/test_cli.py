@@ -135,3 +135,67 @@ def test_verify_paper_detects_corruption(capsys, monkeypatch):
 
 def test_usage_error_exits_2(capsys):
     assert main(["identities"]) == 2   # missing --degree
+
+
+def test_expand_deep_nesting_exits_2(capsys):
+    expr = "<" * 1200 + "x1" + ",x2>" * 1200
+    code, _, err = run(capsys, "expand", expr)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# The degree-4 report for f, wa, hbar, ibar as the CLI records it: the
+# kernel, the consequence span and the two new generators, rendered.
+DEGREE4_RESULTS = {
+    "kernel_dim": 107,
+    "consequence_dim": 92,
+    "new_dim": 2,
+    "representatives": [
+        ("-24*<<x4,<x1,x2>>,x3> - 72*<<x4,<x1,x3>>,x2> +"
+         " 24*<<x4,<x2,x1>>,x3> + 72*<<x4,<x2,x3>>,x1> -"
+         " 24*<<x4,<x3,x1>>,x2> + 24*<<x4,<x3,x2>>,x1> -"
+         " 189*<<<x1,x2>,x3>,x4> - 108*<<<x1,x2>,x4>,x3> +"
+         " 21*<<<x1,x3>,x2>,x4> + 120*<<<x1,x3>,x4>,x2> +"
+         " 276*<<<x1,x4>,x2>,x3> - 120*<<<x1,x4>,x3>,x2> +"
+         " 189*<<<x2,x1>,x3>,x4> + 108*<<<x2,x1>,x4>,x3> +"
+         " 3*<<<x2,x3>,x1>,x4> - 120*<<<x2,x3>,x4>,x1> -"
+         " 276*<<<x2,x4>,x1>,x3> + 96*<<<x2,x4>,x3>,x1> -"
+         " 21*<<<x3,x1>,x2>,x4> - 3*<<<x3,x2>,x1>,x4> - 72*<<<x3,x4>,x1>,x2>"
+         " + 96*<<<x3,x4>,x2>,x1> - 276*<<<x4,x1>,x2>,x3> +"
+         " 96*<<<x4,x1>,x3>,x2> + 276*<<<x4,x2>,x1>,x3> -"
+         " 72*<<<x4,x2>,x3>,x1> + 72*<<<x4,x3>,x1>,x2> -"
+         " 96*<<<x4,x3>,x2>,x1>"),
+        ("-95*<<x1,<x2,x3>>,x4> - 85*<<x1,<x2,x4>>,x3> +"
+         " 55*<<x1,<x3,x2>>,x4> - 70*<<x1,<x3,x4>>,x2> +"
+         " 105*<<x1,<x4,x2>>,x3> - 50*<<x1,<x4,x3>>,x2> +"
+         " 65*<<x2,<x1,x3>>,x4> + 90*<<x2,<x1,x4>>,x3> +"
+         " 70*<<x2,<x3,x1>>,x4> + 75*<<x2,<x3,x4>>,x1> +"
+         " 80*<<x2,<x4,x1>>,x3> + 5*<<x2,<x4,x3>>,x1> + 50*<<x3,<x1,x2>>,x4>"
+         " - 20*<<x3,<x1,x4>>,x2> - 50*<<x3,<x2,x1>>,x4> +"
+         " 15*<<x3,<x2,x4>>,x1> - 100*<<x3,<x4,x1>>,x2> +"
+         " 35*<<x3,<x4,x2>>,x1> - 20*<<x4,x3>,<x2,x1>> +"
+         " 85*<<x4,<x1,x2>>,x3> - 10*<<x4,<x1,x3>>,x2> -"
+         " 10*<<x4,<x2,x1>>,x3> + 15*<<x4,<x2,x3>>,x1> -"
+         " 110*<<x4,<x3,x1>>,x2> + 55*<<x4,<x3,x2>>,x1> +"
+         " 35*<<<x1,x2>,x3>,x4> - 30*<<<x1,x2>,x4>,x3> +"
+         " 65*<<<x1,x3>,x2>,x4> + 30*<<<x1,x3>,x4>,x2> -"
+         " 10*<<<x1,x4>,x2>,x3> + 50*<<<x1,x4>,x3>,x2> -"
+         " 35*<<<x2,x1>,x3>,x4> - 45*<<<x2,x1>,x4>,x3> -"
+         " 40*<<<x2,x3>,x1>,x4> - 125*<<<x2,x3>,x4>,x1> -"
+         " 25*<<<x2,x4>,x1>,x3> - 115*<<<x2,x4>,x3>,x1> -"
+         " 200*<<<x3,x1>,x2>,x4> + 110*<<<x3,x1>,x4>,x2> +"
+         " 80*<<<x3,x2>,x1>,x4> + 55*<<<x3,x2>,x4>,x1> +"
+         " 70*<<<x3,x4>,x1>,x2> - 45*<<<x3,x4>,x2>,x1> -"
+         " 160*<<<x4,x1>,x2>,x3> + 90*<<<x4,x1>,x3>,x2> +"
+         " 5*<<<x4,x2>,x1>,x3> + 65*<<<x4,x2>,x3>,x1> + 10*<<<x4,x3>,x1>,x2>"
+         " - 15*<<<x4,x3>,x2>,x1>"),
+    ],
+}
+
+
+def test_identities_degree4_record_is_pinned(capsys):
+    code, out, _ = run(capsys, "--format", "record", "identities",
+                       "--degree", "4", "--known", "f,wa,hbar,ibar")
+    assert code == 0
+    assert json.loads(out)["results"] == DEGREE4_RESULTS

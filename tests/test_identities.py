@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from mutperm.identities import (consequence_span, expansion_matrix,
+from mutperm.identities import (_DegreeSpace, _as_poly_at_x,
+                                _canonical_degree, _lift_once,
+                                consequence_span, expansion_matrix,
                                 identity_kernel, magmatic_basis,
                                 new_identities, poly_to_vec,
-                                tideal_membership)
+                                tideal_membership, vec_to_poly)
 from mutperm.linalg import Matrix, SpanReducer, rref
 from mutperm.mutation import expand
 from mutperm.terms import TEMPLATES, TermPoly, bnode, mnode, multilinearize, parse
@@ -115,6 +117,38 @@ def test_consequence_span_degree4_against_brute_oracle():
         fast = len(consequence_span(combo, 4))
         slow = brute_consequences_deg4(combo)
         assert fast == slow
+
+
+def fixed_point_consequence_span(identities, n):
+    """Oracle: consequence_span with the permutation closure done by
+    re-applying every transposition to every pivot row until a whole pass
+    adds nothing."""
+    items = [(_canonical_degree(it), _as_poly_at_x(it, n))
+             for it in identities]
+    prev_polys = []
+    for d in range(min(deg for deg, _ in items), n + 1):
+        space = _DegreeSpace(d, "b", 6)
+        reducer = SpanReducer()
+        gens = [p for deg, p in items if deg == d]
+        for poly in prev_polys:
+            gens.extend(_lift_once(poly, d - 1, "b"))
+        for poly in gens:
+            reducer.insert(poly_to_vec(poly, space.index))
+        grew = True
+        while grew:
+            grew = False
+            for vec in list(reducer.pivot_rows.values()):
+                for perm in space.transposition_maps:
+                    if reducer.insert(space.permuted(vec, perm)):
+                        grew = True
+        prev_polys = [vec_to_poly(v, space.basis) for v in reducer.rows()]
+    return reducer.rows()
+
+
+@pytest.mark.parametrize("names,n", [(("f", "wa"), 4), (("f", "conj4b"), 5)])
+def test_consequence_span_matches_fixed_point_closure(names, n):
+    known = [TEMPLATES[name] for name in names]
+    assert consequence_span(known, n) == fixed_point_consequence_span(known, n)
 
 
 def test_consequence_span_degree4_frozen_dims():

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from mutperm.linalg import (Inconsistent, Matrix, SpanReducer, in_span,
-                            kernel_basis, rref, solve)
+from mutperm.linalg import (Inconsistent, Matrix, SpanReducer, _eliminate,
+                            clean_vec, kernel_basis, rref, solve)
 
 
 def dense_rank(rows, ncols):
@@ -30,12 +30,78 @@ def random_matrix(rng, nrows, ncols, density=0.6):
     return Matrix(rows, ncols)
 
 
+def in_span(rows, v, ncols):
+    """Oracle: is v a rational combination of the given rows?
+
+    Solves the transposed system exactly; returns (True, coords) with
+    coords[j] the coefficient of rows[j], or (False, None).
+    """
+    cols = [{} for _ in range(ncols)]
+    for j, row in enumerate(rows):
+        for k, c in row.items():
+            cols[k][j] = c
+    res = solve(Matrix(cols, len(rows)), clean_vec(v))
+    if isinstance(res, Inconsistent):
+        return False, None
+    return True, res
+
+
+def plain_rref(m):
+    """Oracle: Gauss-Jordan elimination of every row, no pre-thinning."""
+    rows = [dict(r) for r in m.rows]
+    rank = len(_eliminate(rows, m.ncols))
+    return Matrix(rows[:rank], m.ncols), rank
+
+
+def rank_deficient_matrix(rng, nrows, ncols, rank):
+    """nrows random rational combinations of ``rank`` random rows."""
+    base = random_matrix(rng, rank, ncols).rows
+    rows = []
+    for _ in range(nrows):
+        v = {}
+        for row in base:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for j, x in row.items():
+                v[j] = v.get(j, Fraction(0)) + c * x
+        rows.append(v)
+    return Matrix(rows, ncols)
+
+
 def test_rref_rank_against_dense_oracle():
     rng = random.Random(1)
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         _, rank = rref(m)
         assert rank == dense_rank(m.rows, m.ncols)
+
+
+def test_rref_matches_plain_gauss_jordan():
+    rng = random.Random(8)
+    shapes = ([(rng.randint(8, 30), rng.randint(1, 6)) for _ in range(20)]
+              + [(rng.randint(1, 6), rng.randint(8, 30)) for _ in range(20)])
+    cases = [random_matrix(rng, r, c, rng.choice((0.2, 0.6)))
+             for r, c in shapes]
+    cases += [rank_deficient_matrix(rng, rng.randint(4, 20),
+                                    rng.randint(4, 20), rng.randint(1, 4))
+              for _ in range(20)]
+    for m in cases:
+        ech, rank = rref(m)
+        want, want_rank = plain_rref(m)
+        assert ech == want and rank == want_rank
+
+
+def test_span_reducer_same_rows_for_int_and_fraction_input():
+    rng = random.Random(9)
+    for _ in range(40):
+        ncols = rng.randint(1, 12)
+        vecs = [{j: rng.randint(-6, 6) for j in range(ncols)
+                 if rng.random() < 0.5} for _ in range(rng.randint(1, 15))]
+        ints, fracs = SpanReducer(), SpanReducer()
+        for v in vecs:
+            assert ints.insert(v) == fracs.insert(
+                {j: Fraction(c) for j, c in v.items()})
+        assert ints.pivot_rows == fracs.pivot_rows
+        assert list(ints.pivot_rows) == list(fracs.pivot_rows)
 
 
 def test_rref_idempotent_and_deterministic():
