@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import findim, speciality, verify
 from .identities import magmatic_basis, new_identities
 from .mutation import expand
-from .terms import TEMPLATES, ParseError, parse, render
+from .terms import TEMPLATES, ParseError, TermPoly, parse, render
 from .verify import permutation_matrix_deg3
 
 
@@ -90,7 +90,7 @@ def cmd_identities(args):
     }
     if args.paper_order and args.degree == 3:
         mat = permutation_matrix_deg3()
-        results["columns"] = " ".join(render_term_short(t)
+        results["columns"] = " ".join(render(TermPoly.term(t))
                                       for t in magmatic_basis(3))
         results["permutation_matrix"] = [
             " ".join(f"{str(row.get(j, 0)):>2}" for j in range(mat.ncols))
@@ -99,11 +99,6 @@ def cmd_identities(args):
                    {"degree": args.degree,
                     "known": args.known or "(none)"},
                    results, t0), 0
-
-
-def render_term_short(t):
-    from .terms import _render_term
-    return _render_term(t)
 
 
 def cmd_cohn(args):
@@ -235,8 +230,6 @@ def build_parser():
                    help="identity name, 'criterion', 'jacobi' or 'mutate'")
     p.add_argument("--p", help="vector for mutate, comma-separated")
     p.add_argument("--q", help="vector for mutate, comma-separated")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_findim)
 
     p = sub.add_parser("verify-paper", help="run the verification suite")

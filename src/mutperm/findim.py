@@ -92,8 +92,10 @@ def load_algebra(source):
     """Read the JSON algebra format.
 
     {"dim": n, "names": [...], "table": [[i, j, k, "c"], ...]} with 1-based
-    indices and rational strings; omitted entries are zero.  ``source`` is
-    a path, a file object, or a parsed dict.
+    indices and rational strings (or JSON integers); omitted entries are
+    zero.  ``source`` is a path, a file object, or a parsed dict.  A
+    repeated [i, j, k] entry or a JSON float coefficient (which is not an
+    exact rational) raises ValueError.
     """
     if isinstance(source, dict):
         doc = source
@@ -107,6 +109,7 @@ def load_algebra(source):
     dim = doc["dim"]
     names = doc.get("names")
     a = FiniteAlgebra(dim, names)
+    seen = set()
     for pos, entry in enumerate(doc.get("table", [])):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise ValueError(f"schema: table entry {pos} is not [i,j,k,c]")
@@ -116,6 +119,13 @@ def load_algebra(source):
                 raise ValueError(
                     f"schema: table entry {pos}: index {label}={idx!r} "
                     f"outside 1..{dim}")
+        if (i, j, k) in seen:
+            raise ValueError(f"schema: table entry {pos} repeats "
+                             f"[{i},{j},{k}]")
+        seen.add((i, j, k))
+        if isinstance(c, float):
+            raise ValueError(f"schema: table entry {pos}: coefficient {c!r} "
+                             f"is a float; write it as a rational string")
         a.table[i - 1][j - 1][k - 1] = Fraction(str(c))
     return a
 

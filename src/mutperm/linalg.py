@@ -194,6 +194,23 @@ def solve(m, rhs):
     return sol
 
 
+def sparse_vec(terms, columns):
+    """Sparse vector of a ``{label: coefficient}`` mapping.
+
+    ``columns`` maps labels to column indices and grows as it is used: a
+    label seen for the first time gets the next free column.  Vectors
+    built against one ``columns`` dict are comparable; the column order
+    is the order of first appearance, which no span or rank depends on.
+    """
+    v = {}
+    for m, c in terms.items():
+        k = columns.get(m)
+        if k is None:
+            k = columns[m] = len(columns)
+        v[k] = c
+    return v
+
+
 def _to_int_row(v):
     """Scale a rational sparse vector to coprime integers with a positive
     leading coefficient."""

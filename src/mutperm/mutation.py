@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .linalg import SpanReducer
-from .perm import (Elt, bracket, commutator, gkey, mono_key, param_degree,
-                   x_multidegree)
-from .terms import TermPoly
+from .linalg import SpanReducer, sparse_vec
+from .perm import Elt, bracket, commutator, gkey, param_degree, x_multidegree
 
 
 def _resolve_leaf(name, assignment):
@@ -91,7 +89,7 @@ def _b2_value(indices):
     for k in range(n):
         params = ("p",) * (n - 1 - k) + ("q",) * k
         prefix = tuple(sorted(params + xs, key=gkey))
-        terms[(prefix, tail)] = Fraction((-1) ** k * comb(n - 1, k))
+        terms[(prefix, tail)] = (-1) ** k * comb(n - 1, k)
     return Elt(terms)
 
 
@@ -102,8 +100,7 @@ def _b3_value(i, j1, j2, rest):
     base = params + tuple(_xname(j) for j in rest)
     pre_a = tuple(sorted(base + (_xname(j2),), key=gkey))
     pre_b = tuple(sorted(base + (_xname(j1),), key=gkey))
-    return Elt({(pre_a, _xname(j1)): Fraction(1),
-                (pre_b, _xname(j2)): Fraction(-1)})
+    return Elt({(pre_a, _xname(j1)): 1, (pre_b, _xname(j2)): -1})
 
 
 def enumerate_B(n_vars, max_degree):
@@ -184,61 +181,87 @@ def bracket_monomials(multidegree):
     return out
 
 
-def bracket_span(multidegree):
-    """Expansions of all bracket monomials at the multidegree."""
-    go = _expander()
-    return [go(t) for t in bracket_monomials(multidegree)]
+def _key(multidegree):
+    """Hashable form of a multidegree: sorted (name, count) pairs."""
+    return tuple(sorted((n, c) for n, c in multidegree.items() if c))
 
 
-def _mono_index(elts):
-    monos = sorted({m for e in elts for m in e.terms}, key=mono_key)
-    idx = {m: i for i, m in enumerate(monos)}
-    return monos, idx
-
-
-def _as_vec(e, idx):
-    return {idx[m]: c for m, c in e.terms.items()}
+def _component(key, cache):
+    """The ComponentSpan of a multidegree key, memoised in ``cache``."""
+    span = cache.get(key)
+    if span is None:
+        span = cache[key] = ComponentSpan(dict(key), cache)
+    return span
 
 
 class ComponentSpan:
     """Lazily grown span of the bracket expansions at one multidegree.
 
-    Membership of targets is confirmed as soon as the partial span covers
-    them; bracket monomials are only expanded until then.
+    The span is built from smaller components by bilinearity.  A bracket
+    monomial of degree >= 2 is <u, v> with u, v bracket monomials whose
+    multidegrees m1, m2 are nonzero and add up to this one, m.  For a
+    fixed ordered split (m1, m2) the bracket is bilinear, so the span of
+    all such <u, v> is the span of <a, b> with a running over a basis of
+    the component at m1 and b over a basis of the component at m2.  Hence
+    the component at m is spanned by these products over all ordered
+    splits; the component of a single letter x is spanned by x.
+
+    The basis of a component is the list of its elements whose insert was
+    accepted.  Sub-components are grown completely and memoised in
+    ``_cache`` by multidegree key (``is_mutation_element`` passes its own
+    cache, so one dict holds both).  The component itself is grown only
+    until a target is covered: products are inserted in chunks of 16 and
+    the target is checked after each chunk.
     """
 
-    def __init__(self, multidegree):
-        self.multidegree = dict(multidegree)
-        self._stream = iter(bracket_monomials(multidegree))
+    def __init__(self, multidegree, _cache=None):
+        self.multidegree = {n: c for n, c in multidegree.items() if c}
+        if sum(self.multidegree.values()) < 1:
+            raise ValueError("total degree must be >= 1")
+        self._cache = {} if _cache is None else _cache
         self.reducer = SpanReducer()
-        self._index = {}
-        self._exhausted = False
+        self.basis = []
+        self._columns = {}
+        self._stream = self._products()
 
-    def _vec(self, e):
-        idx = self._index
-        v = {}
-        for m, c in e.terms.items():
-            k = idx.get(m)
-            if k is None:
-                k = idx[m] = len(idx)
-            v[k] = c
-        return v
+    def _products(self):
+        md = self.multidegree
+        names = sorted(md, key=gkey)
+        if sum(md.values()) == 1:
+            yield Elt.gen(names[0])
+            return
+        for counts in itertools.product(*(range(md[n] + 1) for n in names)):
+            m1 = dict(zip(names, counts))
+            m2 = {n: md[n] - m1[n] for n in names}
+            if not any(counts) or not any(m2.values()):
+                continue
+            left = _component(_key(m1), self._cache).full_basis()
+            right = _component(_key(m2), self._cache).full_basis()
+            for a in left:
+                for b in right:
+                    yield bracket(a, b)
+
+    def _grow(self, count):
+        """Insert the next ``count`` products; False if none were left."""
+        grown = False
+        for e in itertools.islice(self._stream, count):
+            grown = True
+            if self.reducer.insert(sparse_vec(e.terms, self._columns)):
+                self.basis.append(e)
+        return grown
+
+    def full_basis(self):
+        """A basis of the whole component, growing it to the end."""
+        while self._grow(16):
+            pass
+        return self.basis
 
     def contains(self, e):
-        v = self._vec(e)
-        if self.reducer.contains(v):
-            return True
-        while not self._exhausted:
-            grown = False
-            for t in itertools.islice(self._stream, 16):
-                grown = True
-                self.reducer.insert(self._vec(expand(TermPoly.term(t))))
-            if not grown:
-                self._exhausted = True
-                break
-            if self.reducer.contains(v):
-                return True
-        return self.reducer.contains(v)
+        v = sparse_vec(e.terms, self._columns)
+        while not self.reducer.contains(v):
+            if not self._grow(16):
+                return False
+        return True
 
 
 def _split_by_multidegree(e):
@@ -272,23 +295,22 @@ def is_mutation_element(e, _cache=None):
 
     Decomposes by x-multidegree; each homogeneous part must have parameter
     degree = x-degree - 1 in every monomial (the mutation grading) and lie
-    in the span of the bracket expansions at that multidegree.
+    in the span of the bracket expansions at that multidegree.  That span
+    is a ComponentSpan, built by bilinearity from the brackets of bases of
+    smaller components rather than by expanding every bracket monomial.
+    ``_cache``, when given, keeps the component spans (keyed by
+    multidegree) across calls.
     """
     if not e:
         return True
+    cache = {} if _cache is None else _cache
     for key, part in _split_by_multidegree(e).items():
         xdeg = sum(c for _, c in key)
         for m in part.terms:
             if param_degree(m) != xdeg - 1:
                 return False
         ckey, cpart = _canonicalize_part(key, part)
-        if _cache is not None and ckey in _cache:
-            span = _cache[ckey]
-        else:
-            span = ComponentSpan(dict(ckey))
-            if _cache is not None:
-                _cache[ckey] = span
-        if not span.contains(cpart):
+        if not _component(ckey, cache).contains(cpart):
             return False
     return True
 
@@ -314,43 +336,42 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
         closure_degree = degree
     elements = enumerate_B(n_vars, degree)
 
-    monos, idx = _mono_index([b.value for b in elements])
+    columns = {}
     red = SpanReducer()
-    independent = all(red.insert(_as_vec(b.value, idx)) for b in elements)
+    independent = all(red.insert(sparse_vec(b.value.terms, columns))
+                      for b in elements)
 
     by_mdeg = {}
     for b in elements:
         key = tuple(sorted(x_multidegree(next(iter(b.value.terms))).items()))
         by_mdeg.setdefault(key, []).append(b)
 
-    def b_span(key):
-        red = SpanReducer()
-        local = {}
+    b_spans = {}
 
-        def vec(e):
-            v = {}
-            for m, c in e.terms.items():
-                k = local.get(m)
-                if k is None:
-                    k = local[m] = len(local)
-                v[k] = c
-            return v
+    def in_b_span(key, e):
+        """Is e in the span of the B elements of multidegree ``key``?"""
+        if key not in b_spans:
+            red, local = SpanReducer(), {}
+            for b in by_mdeg.get(key, []):
+                red.insert(sparse_vec(b.value.terms, local))
+            b_spans[key] = red, local
+        red, local = b_spans[key]
+        return red.contains(sparse_vec(e.terms, local))
 
-        for b in by_mdeg.get(key, []):
-            red.insert(vec(b.value))
-        return red, vec
-
+    # The literal certificate: every bracket monomial lies in span B.  One
+    # subtree cache serves all multidegrees.  Each monomial is bracketed
+    # from its cached subtrees and not itself cached: keeping every
+    # expansion of the call would hold them all in memory at once.
+    go = _expander()
     spans = True
     for d in range(2, degree + 1):
         for mdeg in _multidegrees(n_vars, d):
             key = tuple(sorted(mdeg.items()))
-            red, vec = b_span(key)
-            for e in bracket_span(mdeg):
-                if not red.contains(vec(e)):
+            for _, left, right in bracket_monomials(mdeg):
+                if not in_b_span(key, bracket(go(left), go(right))):
                     spans = False
 
     closed = True
-    span_cache = {}
     degrees = [sum(x_multidegree(next(iter(b.value.terms))).values())
                for b in elements]
     for b1, d1 in zip(elements, degrees):
@@ -361,12 +382,8 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
             if not prod:
                 continue
             key = tuple(sorted(x_multidegree(next(iter(prod.terms))).items()))
-            if key not in span_cache:
-                span_cache[key] = b_span(key)
-            red, vec = span_cache[key]
-            ok = all(red.contains(vec(part))
-                     for part in _split_by_multidegree(prod).values())
-            if not ok:
+            if not all(in_b_span(key, part)
+                       for part in _split_by_multidegree(prod).values()):
                 closed = False
 
     ml_key = tuple(sorted({(_xname(i), 1) for i in range(1, n_vars + 1)}))

@@ -8,10 +8,14 @@ ordered x1 < x2 < ... < p < q.
 
 Monomials are plain tuples ``(prefix_tuple, tail)`` so they can be dict
 keys; elements (Elt) are finite rational linear combinations of monomials.
+Coefficients are ``int`` or ``Fraction``: integral ones are kept as
+``int`` (see ``Elt``), so integral work, such as every bracket of
+generators and every element of the basis B, runs in ``int`` arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +23,15 @@ from fractions import Fraction
 _X_RE = re.compile(r"^x([1-9][0-9]*)$")
 
 
+def _coeff(c):
+    """A rational coefficient as an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+@functools.cache
 def gkey(g):
     """Sort key realizing x1 < x2 < ... < p < q."""
     if g == "p":
@@ -78,7 +91,13 @@ def param_degree(m):
 
 
 class Elt:
-    """Element of the free perm algebra: dict monomial -> nonzero Fraction."""
+    """Element of the free perm algebra: dict monomial -> nonzero coefficient.
+
+    The constructor and ``scale`` store an integral coefficient as an int
+    and any other as a Fraction; sums and products of int coefficients
+    stay int.  Since ``Fraction(2) == 2`` and the two hash alike, equality,
+    hashing and rendering do not depend on which of the two is stored.
+    """
 
     __slots__ = ("terms",)
 
@@ -86,7 +105,7 @@ class Elt:
         t = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _coeff(c)
                 if c:
                     t[m] = c
         self.terms = t
@@ -98,11 +117,11 @@ class Elt:
     @classmethod
     def gen(cls, name):
         gkey(name)
-        return cls({((), name): Fraction(1)})
+        return cls({((), name): 1})
 
     @classmethod
     def monomial(cls, m, coeff=1):
-        return cls({m: Fraction(coeff)})
+        return cls({m: coeff})
 
     def __bool__(self):
         return bool(self.terms)
@@ -113,7 +132,7 @@ class Elt:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, Fraction(0)) + c
+            nc = out.get(m, 0) + c
             if nc:
                 out[m] = nc
             else:
@@ -136,7 +155,7 @@ class Elt:
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     m = mono_mul(m1, m2)
-                    nc = out.get(m, Fraction(0)) + c1 * c2
+                    nc = out.get(m, 0) + c1 * c2
                     if nc:
                         out[m] = nc
                     else:
@@ -150,10 +169,10 @@ class Elt:
         return self.scale(other)
 
     def scale(self, c):
-        c = Fraction(c)
-        r = Elt.__new__(Elt)
-        r.terms = {} if not c else {m: c * v for m, v in self.terms.items()}
-        return r
+        c = _coeff(c)
+        if not c:
+            return Elt()
+        return Elt({m: c * v for m, v in self.terms.items()})
 
     def monomials(self):
         return sorted(self.terms, key=mono_key)

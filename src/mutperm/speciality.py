@@ -16,11 +16,9 @@ unknowns lambda_1..lambda_k, one equation per perm monomial.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from fractions import Fraction
 
-from .linalg import Inconsistent, Matrix, SpanReducer, solve
+from .linalg import Inconsistent, Matrix, SpanReducer, solve, sparse_vec
 from .mutation import expand
 from .perm import Elt, mono_key
 from .terms import TermPoly, bnode, render
@@ -147,21 +145,10 @@ def _x_count(m):
 
 def in_component_span(component, element):
     red = SpanReducer()
-    index = {}
-
-    def vec(e):
-        out = {}
-        for m, c in e.terms.items():
-            if m not in index:
-                index[m] = len(index)
-            out[index[m]] = c
-        return out
-
-    vecs = [vec(e) for e in component]
-    target = vec(element)
-    for v in vecs:
-        red.insert(v)
-    return red.contains(target)
+    columns = {}
+    for e in component:
+        red.insert(sparse_vec(e.terms, columns))
+    return red.contains(sparse_vec(element.terms, columns))
 
 
 def cohn_check(req, target):

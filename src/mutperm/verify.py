@@ -18,10 +18,10 @@ from fractions import Fraction
 from . import findim, speciality
 from .identities import (consequence_span, expansion_matrix, identity_kernel,
                          magmatic_basis, new_identities, tideal_membership)
-from .linalg import Matrix, SpanReducer, rref
+from .linalg import Matrix, rref
 from .mutation import (check_relations, enumerate_B, expand,
                        is_mutation_element, verify_basis_B)
-from .perm import Elt, commutator, multilinear_monomials, word_elt
+from .perm import Elt, commutator, multilinear_monomials
 from .terms import (TEMPLATES, TermPoly, bnode, mnode, multilinearize,
                     structural_equal)
 

@@ -9,8 +9,8 @@ from mutperm.verify import run_all
 BUDGETS = {
     "degree3-expansions": 1,
     "bracket-relations": 1,
-    "mutation-elements": 120,
-    "basis-B": 150,
+    "mutation-elements": 20,
+    "basis-B": 40,
     "vanishing-identities": 5,
     "degree3-identities": 10,
     "counterexample-algebra": 1,

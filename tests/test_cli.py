@@ -108,6 +108,30 @@ def test_findim_bad_file(capsys, tmp_path):
     assert code == 2 and "cannot load" in err
 
 
+def _alg_file(tmp_path, table):
+    path = tmp_path / "guarded.alg"
+    path.write_text(json.dumps({"dim": 2, "names": ["e1", "e2"],
+                                "table": table}))
+    return str(path)
+
+
+def test_findim_repeated_entry_exits_2(capsys, tmp_path):
+    path = _alg_file(tmp_path, [[1, 2, 1, "1"], [2, 1, 1, "-1"],
+                                [1, 2, 1, "3"]])
+    code, out, err = run(capsys, "findim", path, "--check", "f")
+    assert code == 2 and out == ""
+    assert "repeats [1,2,1]" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_findim_float_coefficient_exits_2(capsys, tmp_path):
+    path = _alg_file(tmp_path, [[1, 2, 1, 0.1]])
+    code, out, err = run(capsys, "findim", path, "--check", "f")
+    assert code == 2 and out == ""
+    assert "float" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_findim_unknown_check(capsys, prop35_file):
     code, _, err = run(capsys, "findim", prop35_file, "--check", "bogus")
     assert code == 2 and "unknown check" in err

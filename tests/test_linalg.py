@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from mutperm.linalg import (Inconsistent, Matrix, SpanReducer, _eliminate,
-                            clean_vec, kernel_basis, rref, solve)
+                            clean_vec, kernel_basis, rref, solve, sparse_vec)
 
 
 def dense_rank(rows, ncols):
@@ -190,6 +190,15 @@ def test_span_reducer_membership():
     assert red.contains({0: Fraction(2), 1: Fraction(5), 2: Fraction(1)})
     assert not red.contains({2: Fraction(1), 3: Fraction(1)})
     assert not red.insert({0: Fraction(3), 1: Fraction(6)})
+
+
+def test_sparse_vec_grows_one_column_index():
+    columns = {}
+    assert sparse_vec({"a": 2, "b": Fraction(1, 2)}, columns) == \
+        {0: 2, 1: Fraction(1, 2)}
+    assert sparse_vec({"c": -1, "a": 3}, columns) == {2: -1, 0: 3}
+    assert columns == {"a": 0, "b": 1, "c": 2}
+    assert sparse_vec({}, columns) == {}
 
 
 def test_transpose_involution():

@@ -1,13 +1,12 @@
-import itertools
-from fractions import Fraction
 from math import comb
 
 import pytest
 
+from mutperm.linalg import SpanReducer
 from mutperm.mutation import (ComponentSpan, bracket_monomials, check_relations,
                               enumerate_B, expand, is_mutation_element,
                               tree_shapes, verify_basis_B)
-from mutperm.perm import Elt, bracket, commutator, word_elt
+from mutperm.perm import Elt, bracket, commutator
 from mutperm.terms import TermPoly, parse
 
 
@@ -125,6 +124,53 @@ def test_component_span_early_exhaustion():
     assert span.contains(expand(parse("<x1,x2>")))
     assert not span.contains(Elt.gen("p") * Elt.gen("x1") * Elt.gen("x2")
                              + Elt.gen("x2") * Elt.gen("p") * Elt.gen("x1"))
+
+
+def _patterns(n, largest=None):
+    """Multiplicity patterns of total n, largest multiplicity first."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _patterns(n - k, k):
+            yield (k,) + rest
+
+
+def _expanded_component(multidegree):
+    """Oracle: the expansion of every bracket monomial of the multidegree,
+    each tree expanded on its own."""
+    return [expand(TermPoly.term(t)) for t in bracket_monomials(multidegree)]
+
+
+def test_component_span_matches_expanded_monomials():
+    patterns = [p for n in range(1, 6) for p in _patterns(n)]
+    assert len(patterns) == 18
+    for pattern in patterns:
+        md = {f"x{i + 1}": c for i, c in enumerate(pattern)}
+        expansions = _expanded_component(md)
+        columns, oracle = {}, SpanReducer()
+        for e in expansions:
+            oracle.insert({columns.setdefault(m, len(columns)): c
+                           for m, c in e.terms.items()})
+        span = ComponentSpan(md)
+        assert len(span.full_basis()) == oracle.dim, pattern
+        assert all(span.contains(e) for e in expansions), pattern
+
+
+def test_partial_span_grows_fully_as_a_subcomponent():
+    # A member of degree 4 is covered by a partly grown span; a later
+    # degree-5 query needs that span as a complete sub-component.
+    x1, x2, x3, x4, x5 = (Elt.gen(f"x{i}") for i in range(1, 6))
+    ml4 = tuple((f"x{i}", 1) for i in range(1, 5))
+    cache = {}
+    assert is_mutation_element(bracket(x4, bracket(bracket(x1, x2), x3)),
+                               cache)
+    assert cache[ml4].reducer.dim < 13
+    deg5 = bracket(bracket(bracket(x1, x2), bracket(x3, x4)), x5)
+    assert is_mutation_element(deg5, cache)
+    assert not is_mutation_element(deg5 + Elt.gen("p") * Elt.gen("q")
+                                   * x1 * x2 * x3 * x4 * x5, cache)
+    assert cache[ml4].reducer.dim == len(cache[ml4].basis) == 13
 
 
 def test_verify_basis_B_small():

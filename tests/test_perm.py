@@ -109,3 +109,30 @@ def test_rendering_is_canonical():
     assert str(-2 * word_elt("x1")) == "-2 x1"
     e = word_elt("x2", "x1") - word_elt("x1", "x2")
     assert str(e) == "x2 x1 - x1 x2"
+
+
+def test_integral_coefficients_are_stored_as_int():
+    m = normalize_word(["x1", "p", "x2"])
+    assert type(Elt({m: Fraction(4, 2)}).terms[m]) is int
+    assert type(Elt({m: Fraction(1, 2)}).terms[m]) is Fraction
+    assert type(Elt.monomial(m, Fraction(-6, 3)).terms[m]) is int
+    assert type(word_elt("x1").scale(Fraction(3, 3)).terms[((), "x1")]) is int
+    half = word_elt("x1").scale(Fraction(1, 2))
+    assert type(half.scale(2).terms[((), "x1")]) is int
+    x1, x2 = Elt.gen("x1"), Elt.gen("x2")
+    assert all(type(c) is int for c in bracket(bracket(x1, x2), x1)
+               .terms.values())
+
+
+def test_int_and_fraction_coefficients_compare_and_render_alike():
+    ms = [normalize_word(w) for w in
+          [("x1",), ("x2", "p", "x1"), ("q", "x1", "x3")]]
+    ints = Elt(dict(zip(ms, (3, -1, 1))))
+    fracs = Elt(dict(zip(ms, (Fraction(6, 2), Fraction(-1), Fraction(1)))))
+    raw = Elt.__new__(Elt)
+    raw.terms = dict(zip(ms, (Fraction(3), Fraction(-1), Fraction(1))))
+    for other in (fracs, raw):
+        assert ints == other and str(ints) == str(other)
+        assert ints * ints == other * other
+        assert str(ints * ints) == str(other * other)
+        assert not ints - other
