@@ -12,6 +12,7 @@ fresh variable into each slot, then close under variable permutations.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -21,6 +22,28 @@ from .perm import mono_key
 from .terms import Template, TermPoly, rename_leaves, substitute, term_vars
 
 DEFAULT_DEGREE_LIMIT = 6
+
+
+def _magmatic_count(n):
+    """n! * Catalan(n - 1), the size of the degree-n magmatic basis."""
+    return math.factorial(n) * math.comb(2 * n - 2, n - 1) // n
+
+
+# Most magmatic monomials one degree may enumerate, whatever the caller's
+# limit: 30,240, the count at the default limit (degree 7 has 665,280).
+MAX_MAGMATIC = _magmatic_count(DEFAULT_DEGREE_LIMIT)
+
+
+def _check_degree(n, limit):
+    if not 1 <= n <= limit:
+        raise ValueError(f"degree {n} outside limit {limit}")
+    # the count grows with n, so degree 20 stands in for any higher one
+    count = _magmatic_count(min(n, 20))
+    if count > MAX_MAGMATIC:
+        more = "more than " if n > 20 else ""
+        raise ValueError(f"degree {n} has {more}{count:,} multilinear "
+                         f"magmatic monomials, above the ceiling of "
+                         f"{MAX_MAGMATIC:,}")
 
 
 def _xnames(n):
@@ -33,9 +56,9 @@ def magmatic_basis(n, kind="b", limit=DEFAULT_DEGREE_LIMIT):
     Shapes are enumerated with the smaller left factor first and variable
     permutations lexicographically; for n = 3 this reproduces the order
     a(bc), a(cb), ..., (cb)a used in the degree-3 rank computation.
+    Raises ValueError above ``limit`` or above MAX_MAGMATIC monomials.
     """
-    if not 1 <= n <= limit:
-        raise ValueError(f"degree {n} outside limit {limit}")
+    _check_degree(n, limit)
     names = _xnames(n)
     out = []
     for shape in tree_shapes(n):
@@ -141,8 +164,7 @@ def consequence_span(identities, n, kind="b", limit=DEFAULT_DEGREE_LIMIT,
     justify the bound); ``stop`` is an optional callback on the reducer
     for early termination (e.g. membership queries).
     """
-    if not 1 <= n <= limit:
-        raise ValueError(f"degree {n} outside limit {limit}")
+    _check_degree(n, limit)
     items = [(_canonical_degree(it), _as_poly_at_x(it, n)) for it in identities]
     if any(d > n for d, _ in items):
         raise ValueError("identity degree exceeds target degree")

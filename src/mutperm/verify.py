@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -268,19 +269,18 @@ def criterion_satisfying_samples(rng, count):
     return out
 
 
-def check_lie_admissibility(samples=20, mutations=100, seed=11):
+def check_lie_admissibility(samples=20, seed=11):
     rng = random.Random(seed)
+    points = 0
     for a in criterion_satisfying_samples(rng, samples):
         ok, w = findim.lie_admissible_criterion(a)
         if not ok:
             return False, f"sample not criterion-satisfying: {w}"
-        for _ in range(mutations):
-            p = findim.random_vector(rng, a.dim)
-            q = findim.random_vector(rng, a.dim)
-            m = findim.mutation_algebra(a, p, q)
-            ok, w = findim.jacobi_test(m)
-            if not ok:
-                return False, f"jacobi fails at p={p}, q={q}, triple {w}"
+        ok, w = findim.mutations_lie_admissible(a)
+        if not ok:
+            p, q, triple = w
+            return False, f"jacobi fails at p={p}, q={q}, triple {triple}"
+        points += math.comb(2 * a.dim + 2, 2)
     # the criterion identity is itself a consequence of bicommutativity
     a, b, c = map(_v, "abc")
     bicomm_ids = [mnode(mnode(a, b), c) - mnode(mnode(a, c), b),
@@ -288,8 +288,9 @@ def check_lie_admissibility(samples=20, mutations=100, seed=11):
     target = multilinearize(TEMPLATES["crit36"].body)
     if not tideal_membership(target, bicomm_ids, kind="m"):
         return False, "criterion does not follow from bicommutativity"
-    return True, (f"{samples} algebras x {mutations} mutations all "
-                  f"Lie-admissible; criterion follows from bicommutativity")
+    return True, (f"{samples} algebras: every mutation Lie-admissible "
+                  f"(proved on {points} lattice mutations, degree <= 2); "
+                  f"criterion follows from bicommutativity")
 
 
 def check_infrastructure(seed=3):

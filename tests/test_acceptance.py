@@ -17,7 +17,7 @@ BUDGETS = {
     "degree4-new-identities": 20,
     "degree5-closure": 120,
     "cohn-certificate": 5,
-    "lie-admissibility": 600,
+    "lie-admissibility": 5,
     "infrastructure": 60,
 }
 

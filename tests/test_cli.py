@@ -60,6 +60,18 @@ def test_identities_unknown_template(capsys):
     assert code == 2 and "unknown template" in err
 
 
+def test_identities_oversized_degree_exits_2(capsys):
+    code, out, err = run(capsys, "identities", "--degree", "9",
+                         "--limit", "9")
+    assert code == 2 and out == ""
+    assert "518,918,400" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    huge = str(10**9)
+    code, out, err = run(capsys, "identities", "--degree", huge,
+                         "--limit", huge)
+    assert code == 2 and out == "" and "more than" in err
+
+
 def test_identities_record_format_round_trips(capsys):
     code, out, _ = run(capsys, "--format", "record", "identities",
                        "--degree", "3", "--known", "f,wa")
@@ -129,6 +141,20 @@ def test_findim_float_coefficient_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "findim", path, "--check", "f")
     assert code == 2 and out == ""
     assert "float" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_findim_oversized_dim_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.alg"
+    path.write_text('{"dim": 2000, "table": []}')
+    code, out, err = run(capsys, "findim", str(path), "--check", "f")
+    assert code == 2 and out == ""
+    assert "ceiling" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    # loadable, but crit36's value tables are too large at dim 10
+    path.write_text('{"dim": 10, "table": []}')
+    code, out, err = run(capsys, "findim", str(path), "--check", "criterion")
+    assert code == 2 and out == "" and "coordinates" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from mutperm.findim import (FiniteAlgebra, change_of_basis, dump_algebra,
-                            evaluate, jacobi_test, lie_admissible_criterion,
-                            load_algebra, mutation_algebra, random_vector,
-                            satisfies)
-from mutperm.terms import TEMPLATES, parse
+from mutperm.findim import (MAX_DIM, FiniteAlgebra, change_of_basis,
+                            dump_algebra, evaluate, jacobi_test,
+                            lie_admissible_criterion, load_algebra,
+                            mutation_algebra, mutations_lie_admissible,
+                            random_vector, satisfies)
+from mutperm.terms import TEMPLATES, Template, TermPoly, multilinearize, parse
 from mutperm.verify import _prop35, criterion_satisfying_samples
 
 
@@ -184,3 +185,127 @@ def test_criterion_failure_yields_non_jacobi_mutation():
             found = (p, q, witness)
             break
     assert found is not None
+
+
+# Reference implementations: evaluate every basis tuple on its own, and
+# the commutator's Jacobi identity by a triple loop.
+
+def oracle_satisfies(a, template, p=None, q=None):
+    body = multilinearize(template.body)
+    names = sorted(body.variables())
+    for tup in itertools.product(range(a.dim), repeat=len(names)):
+        assignment = {nm: a.basis(i) for nm, i in zip(names, tup)}
+        val = evaluate(a, body, assignment, p, q)
+        if any(val):
+            return False, (tup, val)
+    return True, None
+
+
+def oracle_jacobi(a):
+    def comm(x, y):
+        return [u - w for u, w in zip(a.mul(x, y), a.mul(y, x))]
+
+    basis = [a.basis(i) for i in range(a.dim)]
+    for i, j, k in itertools.product(range(a.dim), repeat=3):
+        x, y, z = basis[i], basis[j], basis[k]
+        total = a.zero()
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            total = [s + t for s, t in zip(total, comm(comm(u, v), w))]
+        if any(total):
+            return False, (i, j, k)
+    return True, None
+
+
+def differential_algebras():
+    """Sparse int, dense rational and change-of-basis tables."""
+    rng = random.Random(7)
+    sparse = FiniteAlgebra(3)
+    for i, j, k in itertools.product(range(3), repeat=3):
+        sparse.table[i][j][k] = Fraction(rng.choice((0, 0, 0, 0, 1, -1, 2)))
+    dense = FiniteAlgebra(2)
+    for i, j, k in itertools.product(range(2), repeat=3):
+        dense.table[i][j][k] = Fraction(rng.randint(-3, 3),
+                                        rng.randint(1, 4))
+    return ([("prop35", _prop35()), ("sparse", sparse), ("dense", dense),
+             ("zero", FiniteAlgebra(2))]
+            + [(f"sample{n}", s) for n, s in
+               enumerate(criterion_satisfying_samples(rng, 3))])
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_satisfies_matches_per_tuple_oracle(name):
+    rng = random.Random(name)
+    for label, a in differential_algebras():
+        pq = (random_vector(rng, a.dim), random_vector(rng, a.dim))
+        for args in ((), pq):
+            got = satisfies(a, TEMPLATES[name], *args)
+            want = oracle_satisfies(a, TEMPLATES[name], *args)
+            assert got == want, (label, len(args))
+            if not got[0]:
+                assert all(type(c) is Fraction for c in got[1][1])
+
+
+def test_satisfies_degree_one_and_zero_bodies():
+    linear = Template("linear", "a", TermPoly.var("a").scale(3))
+    zero = Template("zero", "a", TermPoly.zero())
+    for _, a in differential_algebras():
+        for t in (linear, zero):
+            assert satisfies(a, t) == oracle_satisfies(a, t)
+    assert satisfies(_prop35(), linear) == (False, ((0,), [3, 0, 0]))
+
+
+def test_jacobi_matches_triple_loop_oracle():
+    rng = random.Random(8)
+    failures = 0
+    for label, a in differential_algebras() + [("matrix", matrix2x2())]:
+        for m in (a, mutation_algebra(a, random_vector(rng, a.dim),
+                                      random_vector(rng, a.dim))):
+            got = jacobi_test(m)
+            assert got == oracle_jacobi(m), label
+            failures += not got[0]
+    assert failures > 0
+
+
+def test_table_ceiling_raises():
+    with pytest.raises(ValueError, match="ceiling"):
+        satisfies(FiniteAlgebra(10), TEMPLATES["crit36"])
+    assert satisfies(FiniteAlgebra(9), TEMPLATES["crit36"]) == (True, None)
+
+
+def test_load_rejects_dim_above_ceiling():
+    assert load_algebra({"dim": MAX_DIM, "table": []}).dim == MAX_DIM
+    with pytest.raises(ValueError, match="ceiling"):
+        load_algebra({"dim": MAX_DIM + 1, "table": []})
+
+
+def test_lattice_check_finds_non_lie_admissible_mutation():
+    rng = random.Random(0)
+    a = FiniteAlgebra(3)
+    for i, j, k in itertools.product(range(3), repeat=3):
+        a.table[i][j][k] = Fraction(rng.choice((0, 0, 1, -1)))
+    ok, (p, q, triple) = mutations_lie_admissible(a)
+    assert not ok
+    assert (p, q) == (a.zero(), a.basis(2))
+    assert oracle_jacobi(mutation_algebra(a, p, q)) == (False, triple)
+
+
+def test_lattice_check_needs_the_degree_two_points():
+    # every mutation with (p, q) zero or a unit vector is Lie-admissible,
+    # but p = 0, q = e2 + e3 is not
+    rng = random.Random(69)
+    a = FiniteAlgebra(3)
+    for i, j, k in itertools.product(range(3), repeat=3):
+        a.table[i][j][k] = Fraction(rng.choice((0, 0, 0, 0, 1, -1)))
+    zero = a.zero()
+    for u in [zero] + [a.basis(i) for i in range(3)]:
+        assert oracle_jacobi(mutation_algebra(a, u, zero))[0]
+        assert oracle_jacobi(mutation_algebra(a, zero, u))[0]
+    ok, (p, q, triple) = mutations_lie_admissible(a)
+    assert not ok
+    assert (p, q) == (zero, [0, 1, 1])
+    assert oracle_jacobi(mutation_algebra(a, p, q)) == (False, triple)
+
+
+def test_lattice_check_passes_on_criterion_samples():
+    for a in criterion_satisfying_samples(random.Random(9), 3):
+        assert mutations_lie_admissible(a) == (True, None)
