@@ -136,7 +136,11 @@ def cmd_cohn(args):
 
 
 def _parse_vector(text, dim):
-    coords = [Fraction(c.strip()) for c in text.split(",")]
+    try:
+        coords = [Fraction(c.strip()) for c in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"vector {text!r} is not a comma-separated list "
+                       f"of rationals") from None
     if len(coords) != dim:
         raise CliError(f"vector {text!r} has {len(coords)} coordinates, "
                        f"algebra dimension is {dim}")
@@ -151,6 +155,11 @@ def cmd_findim(args):
         raise CliError(f"cannot load {args.algebra}: {exc}") from None
     check = args.check
     inputs = {"algebra": args.algebra, "dim": a.dim, "check": check}
+    mutated = args.p is not None or args.q is not None
+    if mutated and check in ("jacobi", "criterion"):
+        raise CliError(f"--p and --q do not apply to --check {check}")
+    if mutated and (args.p is None or args.q is None):
+        raise CliError("--p and --q go together; give both or neither")
     if check == "jacobi":
         ok, w = findim.jacobi_test(a)
         results = {"verdict": "yes" if ok else "no",
@@ -172,7 +181,13 @@ def cmd_findim(args):
                         for entry in doc["table"]]
         results = doc
     elif check in TEMPLATES:
-        ok, w = findim.satisfies(a, TEMPLATES[check])
+        p = q = None
+        if mutated:
+            # the identity is checked on the (p,q)-mutation of the algebra
+            p = _parse_vector(args.p, a.dim)
+            q = _parse_vector(args.q, a.dim)
+            inputs.update(p=args.p, q=args.q)
+        ok, w = findim.satisfies(a, TEMPLATES[check], p, q)
         results = {"verdict": "yes" if ok else "no",
                    "witness": None if ok else
                    ([a.names[i] for i in w[0]], a.vec_str(w[1]))}
@@ -228,8 +243,9 @@ def build_parser():
     p.add_argument("algebra", help="algebra file (JSON structure constants)")
     p.add_argument("--check", required=True,
                    help="identity name, 'criterion', 'jacobi' or 'mutate'")
-    p.add_argument("--p", help="vector for mutate, comma-separated")
-    p.add_argument("--q", help="vector for mutate, comma-separated")
+    p.add_argument("--p", help="comma-separated vector p: for mutate, or "
+                               "to check an identity on the (p,q)-mutation")
+    p.add_argument("--q", help="comma-separated vector q, with --p")
     p.set_defaults(fn=cmd_findim)
 
     p = sub.add_parser("verify-paper", help="run the verification suite")

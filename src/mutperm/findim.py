@@ -112,7 +112,8 @@ def load_algebra(source):
     indices and rational strings (or JSON integers); omitted entries are
     zero.  ``source`` is a path, a file object, or a parsed dict.  A
     repeated [i, j, k] entry, a JSON float coefficient (which is not an
-    exact rational) or a dim above MAX_DIM raises ValueError.
+    exact rational), a JSON boolean for the dim, an index or a
+    coefficient, or a dim above MAX_DIM raises ValueError.
     """
     if isinstance(source, dict):
         doc = source
@@ -121,7 +122,8 @@ def load_algebra(source):
     else:
         with open(source) as fh:
             doc = json.load(fh)
-    if not isinstance(doc.get("dim"), int) or doc["dim"] < 0:
+    # type(x) is int, because JSON true and false are ints to isinstance
+    if type(doc.get("dim")) is not int or doc["dim"] < 0:
         raise ValueError("schema: 'dim' must be a nonnegative integer")
     dim = doc["dim"]
     if dim > MAX_DIM:
@@ -134,7 +136,7 @@ def load_algebra(source):
             raise ValueError(f"schema: table entry {pos} is not [i,j,k,c]")
         i, j, k, c = entry
         for label, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 1 <= idx <= dim:
+            if type(idx) is not int or not 1 <= idx <= dim:
                 raise ValueError(
                     f"schema: table entry {pos}: index {label}={idx!r} "
                     f"outside 1..{dim}")
@@ -142,9 +144,10 @@ def load_algebra(source):
             raise ValueError(f"schema: table entry {pos} repeats "
                              f"[{i},{j},{k}]")
         seen.add((i, j, k))
-        if isinstance(c, float):
+        if isinstance(c, (bool, float)):
             raise ValueError(f"schema: table entry {pos}: coefficient {c!r} "
-                             f"is a float; write it as a rational string")
+                             f"is a {type(c).__name__}; write it as an "
+                             f"integer or a rational string")
         a.table[i - 1][j - 1][k - 1] = Fraction(str(c))
     return a
 

@@ -230,6 +230,31 @@ def _kernel_dim(n, limit):
     return mat.nrows - rank, mat
 
 
+def _quotient_gain(w, actions, gap):
+    """Dimension of the smallest subspace that contains w and is closed
+    under ``actions`` (SpanReducer.quotient_map columns), counted up to
+    ``gap``.  A FIFO worklist applies every action once to each accepted
+    row; the accepted rows span the subspace, so it is closed once the
+    queue is empty."""
+    if not w:
+        return 0
+    sub = SpanReducer()
+    sub.insert(w)
+    queue = deque(sub.pivot_rows.values())
+    while queue and sub.dim < gap:
+        x = queue.popleft()
+        for act in actions:
+            y = {}
+            for j, c in x.items():
+                for k, a in act[j].items():
+                    y[k] = y.get(k, 0) + c * a
+            if sub.insert(y):
+                queue.append(next(reversed(sub.pivot_rows.values())))
+                if sub.dim == gap:
+                    break
+    return sub.dim
+
+
 def new_identities(known, n, limit=DEFAULT_DEGREE_LIMIT):
     """Compare the full identity space at degree n with the consequences
     of ``known``.
@@ -239,12 +264,16 @@ def new_identities(known, n, limit=DEFAULT_DEGREE_LIMIT):
     their orbits under variable permutations, together with the
     consequences of ``known``, span the kernel at this degree.  One
     degree-n identity contributes its whole orbit, so the set is smaller
-    than the dimension gap in general.  The generators are chosen greedily
-    (largest orbit contribution first, candidates drawn from the kernel
-    basis reduced modulo the current span), which is deterministic;
-    ``representatives`` lists them.  A greedy set need not be a smallest
-    one, so ``new_dim`` is an upper bound on the number of new generators
-    needed.
+    than the dimension gap in general.  The generators are chosen greedily,
+    which is deterministic: in each round every kernel basis vector v is
+    scored by its gain, the dimension its orbit adds to the current span R,
+    and the first vector of largest gain wins; its residue modulo R is the
+    representative, and its orbit joins R.  The gain is computed in the
+    quotient by R, from the normal form of v and the action of the
+    adjacent transpositions there (see the comment in the loop).
+    ``representatives`` lists the winners.  A greedy set need not be a
+    smallest one, so ``new_dim`` is an upper bound on the number of new
+    generators needed.
     Raises ValueError (with a witness) if some known candidate is not an
     identity of mutations of perm algebras.
     """
@@ -261,47 +290,53 @@ def new_identities(known, n, limit=DEFAULT_DEGREE_LIMIT):
     cons = consequence_span(known, n, kind="b", limit=limit, cap=kdim)
     cdim = len(cons)
 
-    basis = magmatic_basis(n, limit=limit)
-    rep_vecs = []
+    representatives = []
     if cdim < kdim:
+        space = _DegreeSpace(n, "b", limit)
         # one index map over the magmatic basis per variable permutation
-        index = {t: i for i, t in enumerate(basis)}
         names = _xnames(n)
         maps = []
         for pp in itertools.permutations(names):
             mapping = dict(zip(names, pp))
-            maps.append([index[rename_leaves(t, mapping)] for t in basis])
-
-        def orbit(vec):
-            return [{m[i]: c for i, c in vec.items()} for m in maps]
+            maps.append([space.index[rename_leaves(t, mapping)]
+                         for t in space.basis])
 
         red = SpanReducer()
         for v in cons:
             red.insert(v)
         kb = kernel_basis(mat.transpose())
-        # the consequence span is permutation-closed, and stays so after
-        # each orbit insertion, so residues generate the same extensions
-        # as the vectors they came from
+        # The span R = red is closed under variable permutations, and
+        # stays so after each orbit insertion.  So a permutation acts on
+        # V/R, and on its normal forms through quotient_map.  The gain of
+        # v, dim(span(S_n v) + R) - dim R, is the dimension of the
+        # S_n-submodule of V/R generated by the class of v, which is the
+        # smallest subspace containing NF(v) closed under the adjacent
+        # transpositions, because they generate S_n.  It is at most
+        # the gap kdim - dim R, as S_n v + R lies in the kernel; so
+        # counting stops at the gap, and a candidate that reaches it
+        # cannot be beaten under the strict first-maximum rule.  A
+        # candidate in R has NF(v) = 0 and gain 0, and is never chosen.
+        # The representative is the winner's residue modulo R, and its
+        # orbit joins R, so the next round starts from span(S_n v) + R.
         while red.dim < kdim:
-            best = None
+            gap = kdim - red.dim
+            actions = [red.quotient_map(t)
+                       for t in space.transposition_maps]
+            best_gain, best = 0, None
             for v in kb:
-                residue = red.residue(v)
-                if not residue:
-                    continue
-                trial = SpanReducer()
-                trial.pivot_rows = dict(red.pivot_rows)
-                for ov in orbit(residue):
-                    trial.insert(ov)
-                gain = trial.dim - red.dim
-                if best is None or gain > best[0]:
-                    best = (gain, residue)
-            rep_vecs.append(best[1])
-            for ov in orbit(best[1]):
-                red.insert(ov)
-    representatives = [vec_to_poly({k: Fraction(c) for k, c in v.items()},
-                                   basis) for v in rep_vecs]
+                gain = _quotient_gain(red.normal_form(v), actions, gap)
+                if gain > best_gain:
+                    best_gain, best = gain, v
+                    if gain == gap:
+                        break
+            residue = red.residue(best)
+            representatives.append(vec_to_poly(
+                {k: Fraction(c) for k, c in residue.items()}, space.basis))
+            for m in maps:
+                red.insert({m[i]: c for i, c in residue.items()})
     return {"kernel_dim": kdim, "consequence_dim": cdim,
-            "new_dim": len(rep_vecs), "representatives": representatives}
+            "new_dim": len(representatives),
+            "representatives": representatives}
 
 
 def tideal_membership(target, defining, kind="m", limit=DEFAULT_DEGREE_LIMIT):

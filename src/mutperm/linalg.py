@@ -1,21 +1,22 @@
 """Exact sparse linear algebra over the rationals.
 
 Vectors are dicts mapping a column index (position in some ordered basis)
-to a nonzero Fraction.  Matrices are lists of such rows together with a
-column count.  Everything is exact: no floats, no tolerances.  Pivoting is
-deterministic (earliest column, then smallest-magnitude pivot), so equal
-inputs always give identical output.
+to a nonzero int or Fraction.  Matrices are lists of such rows together
+with a column count.  Everything is exact: no floats, no tolerances.
+Pivoting is deterministic (earliest column, then smallest-magnitude
+pivot), so equal inputs always give identical output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def clean_vec(v):
-    """Drop zero entries and coerce values to Fraction."""
-    return {k: Fraction(c) for k, c in v.items() if c}
+    """Drop zero entries; keep int values, coerce the others to Fraction."""
+    return {k: c if type(c) is int else Fraction(c)
+            for k, c in v.items() if c}
 
 
 class Matrix:
@@ -98,7 +99,8 @@ def _eliminate(rows, ncols, extras=None):
         rows[r], rows[i] = rows[i], rows[r]
         if extras is not None:
             extras[r], extras[i] = extras[i], extras[r]
-        piv = rows[r][c]
+        # a Fraction divisor, so that int rows never turn into floats
+        piv = Fraction(rows[r][c])
         if piv != 1:
             rows[r] = {k: v / piv for k, v in rows[r].items()}
             if extras is not None:
@@ -112,7 +114,7 @@ def _eliminate(rows, ncols, extras=None):
                 continue
             rj = rows[j]
             for k, v in rows[r].items():
-                nv = rj.get(k, Fraction(0)) - fac * v
+                nv = rj.get(k, 0) - fac * v
                 if nv:
                     rj[k] = nv
                 else:
@@ -211,6 +213,27 @@ def sparse_vec(terms, columns):
     return v
 
 
+def _cancel(v, c, row):
+    """Cancel column c of the integer row v in place against ``row``,
+    whose pivot is c, fraction-free: v becomes m*v - k*row with m > 0
+    (a pivot row's leading coefficient is positive).  Returns m."""
+    a = v[c]
+    g = row[c]
+    d = gcd(a, g)
+    mv = g // d
+    mr = a // d
+    if mv != 1:
+        for k in v:
+            v[k] *= mv
+    for k, val in row.items():
+        nv = v.get(k, 0) - mr * val
+        if nv:
+            v[k] = nv
+        else:
+            v.pop(k, None)
+    return mv
+
+
 def _to_int_row(v):
     """Scale a rational sparse vector to coprime integers with a positive
     leading coefficient."""
@@ -256,21 +279,60 @@ class SpanReducer:
             row = self.pivot_rows.get(c)
             if row is None:
                 return v
-            a = v[c]
-            g = row[c]
-            d = gcd(a, g)
-            mv = g // d
-            mr = a // d
-            if mv != 1:
-                for k in list(v):
-                    v[k] *= mv
-            for k, val in row.items():
-                nv = v.get(k, 0) - mr * val
-                if nv:
-                    v[k] = nv
-                else:
-                    v.pop(k, None)
+            _cancel(v, c, row)
         return v
+
+    def _normal_form(self, v, pivots):
+        """Cancel the integer row v in place at each of the sorted
+        ``pivots``, lowest first; return the positive factor by which the
+        cancellations multiplied v."""
+        scale = 1
+        for c in pivots:
+            if c in v:
+                scale *= _cancel(v, c, self.pivot_rows[c])
+        return scale
+
+    def normal_form(self, v):
+        """Normal form of v modulo the span, up to a nonzero scale.
+
+        Unlike residue(), which stops at the first non-pivot column, v is
+        cancelled at every pivot column, lowest first.  A pivot row has
+        no entries left of its pivot, so a cancelled column stays zero:
+        the result is congruent to a multiple of v and zero on every
+        pivot column.  It is the only such vector, because a nonzero
+        vector of the span is nonzero at its lowest pivot.  So up to
+        scale this is a linear map with the span as kernel, read in the
+        free (non-pivot) columns; it is zero exactly when contains(v).
+        """
+        v = _to_int_row(v)
+        self._normal_form(v, sorted(self.pivot_rows))
+        return v
+
+    def quotient_map(self, colmap):
+        """The map induced on the quotient by a column permutation.
+
+        ``colmap[j]`` is the column that column j goes to, and the map
+        must send the span into itself.  Returns ``{j: column}`` for the
+        free columns j, where column j is s * NF(e_colmap[j]) in free
+        columns, with one positive integer s for all j.  So the sum of
+        x_j * column j over the free columns is s times the image of x
+        for any x in free columns.  Each column's normal form comes with
+        its own fraction-free factor, and they are brought to their
+        least common multiple: with per-column factors the sum would not
+        be a multiple of the image.
+        """
+        pivots = sorted(self.pivot_rows)
+        cols, scales = {}, {}
+        for j, t in enumerate(colmap):
+            if j not in self.pivot_rows:
+                cols[j] = {t: 1}
+                scales[j] = self._normal_form(cols[j], pivots)
+        common = lcm(*scales.values())
+        for j, col in cols.items():
+            m = common // scales[j]
+            if m != 1:
+                cols[j] = {k: c * m for k, c in col.items()}
+        return cols
 
     def residue(self, v):
         """Reduce a copy of v against the current span (integerized)."""

@@ -14,7 +14,7 @@ BUDGETS = {
     "vanishing-identities": 5,
     "degree3-identities": 10,
     "counterexample-algebra": 1,
-    "degree4-new-identities": 20,
+    "degree4-new-identities": 2,
     "degree5-closure": 120,
     "cohn-certificate": 5,
     "lie-admissibility": 5,

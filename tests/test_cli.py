@@ -113,6 +113,61 @@ def test_findim_mutate(capsys, prop35_file):
     assert code == 0 and "table:" in out
 
 
+def test_findim_template_check_on_the_mutation(capsys, prop35_file,
+                                               tmp_path):
+    from mutperm.findim import load_algebra, mutation_algebra
+
+    p = q = "0,1,0"
+    mutated = tmp_path / "mutated.alg"
+    mutated.write_text(dump_algebra(mutation_algebra(
+        load_algebra(prop35_file), [0, 1, 0], [0, 1, 0])))
+    for check in ("f", "wa", "flex", "jordan"):
+        code, out, _ = run(capsys, "--format", "record", "findim",
+                           prop35_file, "--check", check, "--p", p,
+                           "--q", q)
+        rec = json.loads(out)
+        assert rec["inputs"]["p"] == p and rec["inputs"]["q"] == q
+        # a bracket identity of the mutation is an identity of its
+        # product: the same verdict as the mutation algebra's own file
+        code2, out2, _ = run(capsys, "--format", "record", "findim",
+                             str(mutated), "--check", check)
+        assert code == code2
+        assert rec["results"]["verdict"] == \
+            json.loads(out2)["results"]["verdict"]
+    # wa fails on prop35 itself but holds on this mutation
+    assert run(capsys, "findim", prop35_file, "--check", "wa")[0] == 1
+    assert run(capsys, "findim", prop35_file, "--check", "wa", "--p", p,
+               "--q", q)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--check", "f", "--p", "1,0,0"),
+    ("--check", "f", "--q", "0,1,0"),
+    ("--check", "mutate", "--q", "0,1,0"),
+    ("--check", "jacobi", "--p", "1,0,0", "--q", "0,1,0"),
+    ("--check", "criterion", "--p", "1,0,0", "--q", "0,1,0"),
+    ("--check", "f", "--p", "1,0", "--q", "0,1,0"),
+    ("--check", "f", "--p", "1/0,0,0", "--q", "0,1,0"),
+])
+def test_findim_misused_p_q_exits_2(capsys, prop35_file, argv):
+    code, out, err = run(capsys, "findim", prop35_file, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_findim_json_booleans_exit_2(capsys, tmp_path):
+    path = tmp_path / "bools.alg"
+    for doc, word in (({"dim": True, "table": [[True, True, True, "1"]]},
+                       "'dim'"),
+                      ({"dim": 1, "table": [[True, 1, 1, "1"]]}, "index i"),
+                      ({"dim": 1, "table": [[1, 1, 1, True]]}, "bool")):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "findim", str(path), "--check", "f")
+        assert code == 2 and out == "" and word in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_findim_bad_file(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("{not json")

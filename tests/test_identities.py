@@ -1,17 +1,19 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from mutperm.identities import (_DegreeSpace, _as_poly_at_x,
                                 _canonical_degree, _lift_once,
-                                consequence_span, expansion_matrix,
-                                identity_kernel, magmatic_basis,
-                                new_identities, poly_to_vec,
+                                _quotient_gain, consequence_span,
+                                expansion_matrix, identity_kernel,
+                                magmatic_basis, new_identities, poly_to_vec,
                                 tideal_membership, vec_to_poly)
-from mutperm.linalg import Matrix, SpanReducer, rref
+from mutperm.linalg import Matrix, SpanReducer, kernel_basis, rref
 from mutperm.mutation import expand
-from mutperm.terms import TEMPLATES, TermPoly, bnode, mnode, multilinearize, parse
+from mutperm.terms import (TEMPLATES, TermPoly, bnode, mnode, multilinearize,
+                           parse, rename_leaves)
 from mutperm.verify import PAPER_MATRIX_3, permutation_matrix_deg3
 
 
@@ -183,6 +185,118 @@ def test_new_identities_degree4():
     # each representative expands to zero, i.e. is an identity
     for poly in rep["representatives"]:
         assert not expand(poly)
+
+
+def trial_loop_new_identities(known, n):
+    """Oracle for new_identities' greedy choice: in each round, copy the
+    span, insert the whole orbit of each candidate's residue into the
+    copy and read off the dimension gain; the first largest gain wins.
+    Returns the report and, per round, the span before it (its pivot
+    rows) and every candidate's gain."""
+    basis = magmatic_basis(n)
+    index = {t: i for i, t in enumerate(basis)}
+    names = [f"x{i}" for i in range(1, n + 1)]
+    maps = [[index[rename_leaves(t, dict(zip(names, pp)))] for t in basis]
+            for pp in itertools.permutations(names)]
+    mat = expansion_matrix(n)
+    kb = kernel_basis(mat.transpose())
+    kdim = len(kb)
+    cons = consequence_span(known, n)
+    red = SpanReducer()
+    for v in cons:
+        red.insert(v)
+
+    def orbit(vec):
+        return [{m[i]: c for i, c in vec.items()} for m in maps]
+
+    reps, rounds = [], []
+    while red.dim < kdim:
+        gains, best = [], None
+        for v in kb:
+            residue = red.residue(v)
+            if not residue:
+                gains.append(0)
+                continue
+            trial = SpanReducer()
+            trial.pivot_rows = dict(red.pivot_rows)
+            for ov in orbit(residue):
+                trial.insert(ov)
+            gains.append(trial.dim - red.dim)
+            if best is None or gains[-1] > best[0]:
+                best = (gains[-1], residue)
+        rounds.append((dict(red.pivot_rows), gains))
+        reps.append(vec_to_poly({k: Fraction(c) for k, c in best[1].items()},
+                                basis))
+        for ov in orbit(best[1]):
+            red.insert(ov)
+    report = {"kernel_dim": kdim, "consequence_dim": len(cons),
+              "new_dim": len(reps), "representatives": reps}
+    return report, rounds, kb
+
+
+def quotient_gains(pivot_rows, kb, n):
+    """Every candidate's gain as new_identities scores it, from the span
+    with the given pivot rows."""
+    red = SpanReducer()
+    red.pivot_rows = dict(pivot_rows)
+    actions = [red.quotient_map(t)
+               for t in _DegreeSpace(n, "b", 6).transposition_maps]
+    gap = len(kb) - red.dim
+    return [_quotient_gain(red.normal_form(v), actions, gap) for v in kb]
+
+
+def seeded_known(rng, names):
+    """The named identities at random distinct variable names (renamed and
+    reordered), each scaled by a random rational, shuffled."""
+    polys = []
+    for name in names:
+        t = TEMPLATES[name]
+        xs = rng.sample(["a", "b", "c", "d", "u", "w", "y", "z"], t.arity)
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                         rng.randint(1, 9))
+        polys.append(t.instantiate(xs).scale(scale))
+    rng.shuffle(polys)
+    return polys
+
+
+def assert_same_report(got, want):
+    assert got == want
+    # the same Fraction coefficients and term order, not only equal values
+    assert repr(got) == repr(want)
+
+
+KNOWN4 = ("f", "wa", "hbar", "ibar")
+GAIN_CASES = [(("f", "wa"), 3), ((), 3), (("f",), 3), (KNOWN4, 4),
+              (("f", "wa"), 4)]
+
+
+@pytest.mark.parametrize("names,n", GAIN_CASES,
+                         ids=[f"{n}-{'+'.join(k) or 'none'}"
+                              for k, n in GAIN_CASES])
+def test_new_identities_against_trial_loop_with_gains(names, n):
+    known = [TEMPLATES[name] for name in names]
+    want, rounds, kb = trial_loop_new_identities(known, n)
+    assert_same_report(new_identities(known, n), want)
+    for pivot_rows, gains in rounds:
+        assert quotient_gains(pivot_rows, kb, n) == gains
+
+
+@pytest.mark.parametrize("names", [("f",), ("wa",)])
+def test_new_identities_against_trial_loop_one_generator(names):
+    known = [TEMPLATES[name] for name in names]
+    assert_same_report(new_identities(known, 4),
+                       trial_loop_new_identities(known, 4)[0])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_new_identities_against_trial_loop_seeded(seed):
+    rng = random.Random(seed)
+    for names, n in ((("f", "wa"), 3), (KNOWN4, 4), (("f", "wa"), 4)):
+        known = seeded_known(rng, names)
+        want, rounds, kb = trial_loop_new_identities(known, n)
+        assert_same_report(new_identities(known, n), want)
+        for pivot_rows, gains in rounds[:1]:
+            assert quotient_gains(pivot_rows, kb, n) == gains
 
 
 def test_new_identities_rejects_non_identity():

@@ -205,3 +205,121 @@ def test_transpose_involution():
     rng = random.Random(7)
     m = random_matrix(rng, 4, 6)
     assert m.transpose().transpose() == m
+
+
+def test_int_matrix_gives_the_fraction_results_without_floats():
+    rng = random.Random(10)
+    cases = []
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        cases.append([{j: rng.randint(-5, 5) for j in range(ncols)
+                       if rng.random() < 0.6} for _ in range(nrows)])
+    # rank deficient: integer combinations of two rows
+    for _ in range(10):
+        base = [{j: rng.randint(-4, 4) for j in range(6)} for _ in range(2)]
+        cases.append([{j: a * base[0][j] + b * base[1][j] for j in range(6)}
+                      for a, b in ((rng.randint(-3, 3), rng.randint(-3, 3))
+                                   for _ in range(5))])
+
+    def no_floats(vecs):
+        return all(type(c) is not float for v in vecs for c in v.values())
+
+    for rows in cases:
+        ncols = max((k for r in rows for k in r), default=0) + 1
+        mi = Matrix(rows, ncols)
+        mf = Matrix([{j: Fraction(c) for j, c in r.items()} for r in rows],
+                    ncols)
+        assert all(type(c) is int for r in mi.rows for c in r.values())
+        ech, rank = rref(mi)
+        assert (ech, rank) == rref(mf) and no_floats(ech.rows)
+        kern = kernel_basis(mi)
+        assert kern == kernel_basis(mf) and no_floats(kern)
+        rhs = {i: rng.randint(-3, 3) for i in range(len(rows))}
+        got, want = solve(mi, rhs), solve(mf, rhs)
+        if isinstance(want, Inconsistent):
+            assert isinstance(got, Inconsistent)
+            assert got.certificate == want.certificate
+            assert no_floats([got.certificate])
+        else:
+            assert got == want and no_floats([got])
+
+
+def exact_normal_form(rows, v, ncols):
+    """Oracle: the vector congruent to v modulo span(rows) that is zero on
+    every pivot column, from the RREF of the rows in Fractions."""
+    ech, _ = plain_rref(Matrix(rows, ncols))
+    out = {k: Fraction(c) for k, c in v.items() if c}
+    for row in ech.rows:
+        a = out.get(min(row))
+        if a:
+            for k, x in row.items():
+                out[k] = out.get(k, 0) - a * x
+    return {k: c for k, c in out.items() if c}
+
+
+def proportional(w, exact):
+    """The positive or negative factor s with w == s * exact, or None."""
+    if not exact:
+        return 0 if not w else None
+    k = min(exact)
+    s = Fraction(w.get(k, 0)) / exact[k]
+    return s if s and w == {j: s * c for j, c in exact.items()} else None
+
+
+def test_normal_form_against_rref_oracle():
+    rng = random.Random(11)
+    for _ in range(60):
+        ncols = rng.randint(2, 10)
+        rows = [{j: rng.choice((1, 2, 3, -2, Fraction(3, 2)))
+                 for j in range(ncols) if rng.random() < 0.4}
+                for _ in range(rng.randint(0, ncols))]
+        red = SpanReducer()
+        for r in rows:
+            red.insert(r)
+        for _ in range(5):
+            v = {j: rng.randint(-3, 3) for j in range(ncols)
+                 if rng.random() < 0.6}
+            w = red.normal_form(v)
+            assert not set(w) & set(red.pivot_rows)
+            assert proportional(w, exact_normal_form(rows, v, ncols)) \
+                is not None
+            assert (not w) == red.contains(v)
+        for r in rows:
+            assert red.normal_form(r) == {}
+
+
+def test_quotient_map_is_one_multiple_of_the_induced_map():
+    rng = random.Random(12)
+    mixed_factors = 0
+    for trial in range(150):
+        ncols = rng.randint(3, 9)
+        perm = list(range(ncols))
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(ncols), 2)
+            perm[i], perm[j] = perm[j], perm[i]
+        # a span closed under perm: whole orbits of a few random vectors
+        rows = []
+        for _ in range(rng.randint(1, 2)):
+            v = {j: rng.choice((1, 2, 3, -1, -3)) for j in range(ncols)
+                 if rng.random() < 0.3}
+            for _ in range(12):
+                rows.append(v)
+                v = {perm[j]: c for j, c in v.items()}
+        red = SpanReducer()
+        for r in rows:
+            red.insert(r)
+        cols = red.quotient_map(perm)
+        free = [j for j in range(ncols) if j not in red.pivot_rows]
+        assert sorted(cols) == free
+        exact = {j: exact_normal_form(rows, {perm[j]: 1}, ncols)
+                 for j in free}
+        factors = {proportional(cols[j], exact[j]) for j in free
+                   if exact[j]}
+        assert len(factors) <= 1 and all(s > 0 for s in factors)
+        assert all(cols[j] == {} for j in free if not exact[j])
+        # the fraction-free normal forms of the columns alone come with
+        # different factors, which quotient_map must even out
+        raw = {proportional(red.normal_form({perm[j]: 1}), exact[j])
+               for j in free if exact[j]}
+        mixed_factors += len(raw) > 1
+    assert mixed_factors >= 8
