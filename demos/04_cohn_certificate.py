@@ -30,6 +30,7 @@ print(f"\nThe linear system has {len(report['monomials'])} equations "
       f"(one per perm monomial) in {len(report['unknowns'])} unknowns,")
 print("and it is inconsistent; a certificate (a combination of rows that")
 print("sums to zero while the right sides do not) is:")
-print("  ", dict(report["certificate"]))
+cert = report["certificate"]
+print("   {" + ", ".join(f"{row}: {cert[row]}" for row in sorted(cert)) + "}")
 
 print("\nVerdict:", report["verdict"])

@@ -104,14 +104,14 @@ def cmd_identities(args):
 def cmd_cohn(args):
     t0 = time.monotonic()
     req, target = speciality.paper_instance()
+    gens = req.generators
     if args.generators:
         gens = [parse(g) for g in args.generators]
-        req = speciality.IdealComponentRequest(gens, req.multidegree)
+    multidegree = req.multidegree
     if args.target:
         target = parse(args.target)
-        names = target.variables()
-        req = speciality.IdealComponentRequest(
-            req.generators, {n: c for n, c in names.items()})
+        multidegree = target.variables()
+    req = speciality.IdealComponentRequest(gens, multidegree)
     rep = speciality.cohn_check(req, target)
     equations = []
     for i, row in enumerate(rep["system"].rows):

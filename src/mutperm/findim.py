@@ -20,6 +20,7 @@ import math
 from fractions import Fraction
 from operator import itemgetter
 
+from .linalg import Matrix, rref, signed_sum, solve
 from .terms import (TEMPLATES, Template, TermPoly, mnode, multilinearize,
                     term_vars)
 
@@ -88,17 +89,8 @@ class FiniteAlgebra:
         return out
 
     def vec_str(self, v):
-        parts = []
-        for c, name in zip(v, self.names):
-            if not c:
-                continue
-            mag = abs(c)
-            word = name if mag == 1 else f"{mag} {name}"
-            if not parts:
-                parts.append(word if c > 0 else f"-{word}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + word)
-        return " ".join(parts) if parts else "0"
+        return signed_sum(((c, name) for c, name in zip(v, self.names) if c),
+                          " ")
 
     def __eq__(self, other):
         return (isinstance(other, FiniteAlgebra) and self.dim == other.dim
@@ -446,8 +438,6 @@ def change_of_basis(a, s):
     ``s`` must be invertible.  Identities are invariant under this, so
     conjugating a known identity-satisfying table yields fresh samples.
     """
-    from .linalg import Matrix, rref, solve
-
     s = [[Fraction(c) for c in row] for row in s]
     # row j of the system: sum_m s[m][j] c_m = v_j
     rows = [{m: s[m][j] for m in range(a.dim) if s[m][j]}

@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from fractions import Fraction
 
 from .linalg import Matrix, SpanReducer, kernel_basis, rref
 from .mutation import _expander, expand, tree_shapes, _tree_term
-from .perm import mono_key
-from .terms import Template, TermPoly, rename_leaves, substitute, term_vars
+from .perm import monomial_index
+from .terms import (Template, TermPoly, _combine, rename_leaves, substitute,
+                    term_vars)
 
 DEFAULT_DEGREE_LIMIT = 6
 
@@ -73,8 +73,7 @@ def expansion_matrix(n, limit=DEFAULT_DEGREE_LIMIT):
     # one subtree cache for the whole basis: the monomials share subtrees
     go = _expander()
     expansions = [go(t) for t in basis]
-    monos = sorted({m for e in expansions for m in e.terms}, key=mono_key)
-    idx = {m: i for i, m in enumerate(monos)}
+    monos, idx = monomial_index(expansions)
     rows = [{idx[m]: c for m, c in e.terms.items()} for e in expansions]
     return Matrix(rows, len(monos), labels=monos)
 
@@ -121,15 +120,12 @@ def _as_poly_at_x(item, n):
 
 def _lift_once(poly, d, kind):
     """All one-step T-ideal liftings of a multilinear degree-d polynomial."""
-    node = (lambda a, b: TermPoly({(kind, ta, tb): ca * cb
-                                   for ta, ca in a.terms.items()
-                                   for tb, cb in b.terms.items()}))
     new = TermPoly.var(f"x{d + 1}")
-    out = [node(poly, new), node(new, poly)]
+    out = [_combine(kind, poly, new), _combine(kind, new, poly)]
     for i in range(1, d + 1):
         xi = TermPoly.var(f"x{i}")
-        out.append(substitute(poly, {f"x{i}": node(xi, new)}))
-        out.append(substitute(poly, {f"x{i}": node(new, xi)}))
+        out.append(substitute(poly, {f"x{i}": _combine(kind, xi, new)}))
+        out.append(substitute(poly, {f"x{i}": _combine(kind, new, xi)}))
     return out
 
 
@@ -141,13 +137,14 @@ class _DegreeSpace:
         self.basis = magmatic_basis(n, kind=kind, limit=limit)
         self.index = {t: i for i, t in enumerate(self.basis)}
         names = _xnames(n)
-        self.transposition_maps = []
-        for k in range(n - 1):
-            mapping = {names[k]: names[k + 1], names[k + 1]: names[k]}
-            perm = [0] * len(self.basis)
-            for i, t in enumerate(self.basis):
-                perm[i] = self.index[rename_leaves(t, mapping)]
-            self.transposition_maps.append(perm)
+        self.transposition_maps = [
+            self.index_map({names[k]: names[k + 1], names[k + 1]: names[k]})
+            for k in range(n - 1)]
+
+    def index_map(self, mapping):
+        """The column permutation of renaming leaves by ``mapping``:
+        column i goes to column index_map(mapping)[i]."""
+        return [self.index[rename_leaves(t, mapping)] for t in self.basis]
 
     def permuted(self, vec, perm):
         return {perm[i]: c for i, c in vec.items()}
@@ -295,11 +292,8 @@ def new_identities(known, n, limit=DEFAULT_DEGREE_LIMIT):
         space = _DegreeSpace(n, "b", limit)
         # one index map over the magmatic basis per variable permutation
         names = _xnames(n)
-        maps = []
-        for pp in itertools.permutations(names):
-            mapping = dict(zip(names, pp))
-            maps.append([space.index[rename_leaves(t, mapping)]
-                         for t in space.basis])
+        maps = [space.index_map(dict(zip(names, pp)))
+                for pp in itertools.permutations(names)]
 
         red = SpanReducer()
         for v in cons:
@@ -330,8 +324,7 @@ def new_identities(known, n, limit=DEFAULT_DEGREE_LIMIT):
                     if gain == gap:
                         break
             residue = red.residue(best)
-            representatives.append(vec_to_poly(
-                {k: Fraction(c) for k, c in residue.items()}, space.basis))
+            representatives.append(vec_to_poly(residue, space.basis))
             for m in maps:
                 red.insert({m[i]: c for i, c in residue.items()})
     return {"kernel_dim": kdim, "consequence_dim": cdim,

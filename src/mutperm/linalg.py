@@ -19,6 +19,98 @@ def clean_vec(v):
             for k, c in v.items() if c}
 
 
+def _coeff(c):
+    """A rational coefficient as an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+class Combination:
+    """Finite rational linear combination: dict key -> nonzero coefficient.
+
+    The constructor and ``scale`` store an integral coefficient as an int
+    and any other as a Fraction; sums of int coefficients stay int.
+    Since ``Fraction(2) == 2`` and the two hash alike, equality and
+    rendering do not depend on which of the two is stored.  Combinations
+    of different subclasses never compare equal.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        t = {}
+        if terms:
+            for m, c in terms.items():
+                c = _coeff(c)
+                if c:
+                    t[m] = c
+        self.terms = t
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def _new(self, terms):
+        """A combination of this type holding ``terms`` as given."""
+        r = object.__new__(type(self))
+        r.terms = terms
+        return r
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            nc = out.get(m, 0) + c
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+        return self._new(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            nc = out.get(m, 0) - c
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.terms.items()})
+
+    def scale(self, c):
+        c = _coeff(c)
+        if not c:
+            return self._new({})
+        return type(self)({m: c * v for m, v in self.terms.items()})
+
+    __rmul__ = scale
+
+
+def signed_sum(pairs, sep):
+    """Render (coefficient, body) pairs as a signed sum such as
+    ``x1 - 2 x2 + 1/2 x3``: a magnitude other than 1 is joined to its
+    body by ``sep``, and no pairs render as ``0``."""
+    parts = []
+    for c, body in pairs:
+        mag = abs(c)
+        word = body if mag == 1 else f"{mag}{sep}{body}"
+        if not parts:
+            parts.append(word if c > 0 else f"-{word}")
+        else:
+            parts.append(("+ " if c > 0 else "- ") + word)
+    return " ".join(parts) if parts else "0"
+
+
 class Matrix:
     """Sparse rational matrix: a list of sparse rows over ncols columns.
 
@@ -63,7 +155,8 @@ class Inconsistent:
     """Outcome of solve() on an unsolvable system.
 
     ``certificate`` is a left null combination of the matrix rows whose
-    pairing with the right-hand side is nonzero.
+    pairing with the right-hand side is nonzero: the first vector of
+    ``kernel_basis(m.transpose())`` that pairs nonzero with it.
     """
 
     def __init__(self, certificate):
@@ -73,80 +166,29 @@ class Inconsistent:
         return f"Inconsistent({self.certificate!r})"
 
 
-def _eliminate(rows, ncols, extras=None):
-    """Full Gauss-Jordan elimination in place.
-
-    ``extras`` is an optional parallel list of payloads (per row) that get
-    the same row operations applied; each payload is a (dict, Fraction)
-    pair used by solve() for certificate tracking.  Returns the list of
-    pivot columns (one per nonzero row, rows reordered so row i has pivot
-    pivots[i]).
-    """
-    n = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        best = None
-        for i in range(r, n):
-            v = rows[i].get(c)
-            if v:
-                cand = (abs(v), i)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            continue
-        i = best[1]
-        rows[r], rows[i] = rows[i], rows[r]
-        if extras is not None:
-            extras[r], extras[i] = extras[i], extras[r]
-        # a Fraction divisor, so that int rows never turn into floats
-        piv = Fraction(rows[r][c])
-        if piv != 1:
-            rows[r] = {k: v / piv for k, v in rows[r].items()}
-            if extras is not None:
-                cert, b = extras[r]
-                extras[r] = ({k: v / piv for k, v in cert.items()}, b / piv)
-        for j in range(n):
-            if j == r:
-                continue
-            fac = rows[j].get(c)
-            if not fac:
-                continue
-            rj = rows[j]
-            for k, v in rows[r].items():
-                nv = rj.get(k, 0) - fac * v
-                if nv:
-                    rj[k] = nv
-                else:
-                    rj.pop(k, None)
-            if extras is not None:
-                certj, bj = extras[j]
-                certr, br = extras[r]
-                for k, v in certr.items():
-                    nv = certj.get(k, Fraction(0)) - fac * v
-                    if nv:
-                        certj[k] = nv
-                    else:
-                        certj.pop(k, None)
-                extras[j] = (certj, bj - fac * br)
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def rref(m):
     """Reduced row echelon form and rank of a Matrix.
 
-    The RREF of a row space is unique for the fixed column order, so the
-    rows are first thinned to a basis of their span by a SpanReducer and
-    only those (at most ncols) rows are fully eliminated; the result is
-    the same as eliminating every row, and deterministic.
+    The rows are thinned to a basis of their span by a SpanReducer, whose
+    fraction-free echelon rows are then back-substituted, last pivot
+    first, and divided by their pivots.  The RREF of a row space is
+    unique for the fixed column order, so the result is deterministic.
     """
     red = SpanReducer()
     for r in m.rows:
         red.insert(r)
-    rows = red.rows()
-    pivots = _eliminate(rows, m.ncols)
+    pivots = sorted(red.pivot_rows)
+    reduced = {}
+    for i in range(len(pivots) - 1, -1, -1):
+        row = dict(red.pivot_rows[pivots[i]])
+        for c in pivots[i + 1:]:
+            if c in row:
+                _cancel(row, c, reduced[c])
+        reduced[pivots[i]] = _primitive(row)
+    rows = []
+    for c in pivots:
+        piv = reduced[c][c]
+        rows.append({k: Fraction(v, piv) for k, v in reduced[c].items()})
     return Matrix(rows, m.ncols, m.labels), len(pivots)
 
 
@@ -176,24 +218,23 @@ def kernel_basis(m):
 def solve(m, rhs):
     """One exact solution of m.x = rhs, or Inconsistent with certificate.
 
-    ``rhs`` maps row index -> Fraction.  Free variables are set to zero,
-    so the returned solution is deterministic.
+    ``rhs`` maps row index -> Fraction.  The solution is read from the
+    RREF of [m | rhs] with free variables set to zero, so it is
+    deterministic; a pivot in the rhs column means there is none.
     """
-    rows = [dict(r) for r in m.rows]
-    extras = [({i: Fraction(1)}, Fraction(rhs.get(i, 0)))
-              for i in range(len(rows))]
-    pivots = _eliminate(rows, m.ncols, extras)
-    rank = len(pivots)
-    for i in range(rank, len(rows)):
-        cert, b = extras[i]
-        if b:
-            return Inconsistent(clean_vec(cert))
-    sol = {}
-    for i, c in enumerate(pivots):
-        b = extras[i][1]
-        if b:
-            sol[c] = b
-    return sol
+    n = m.ncols
+    aug = []
+    for i, r in enumerate(m.rows):
+        row = dict(r)
+        if rhs.get(i):
+            row[n] = rhs[i]
+        aug.append(row)
+    ech, _ = rref(Matrix(aug, n + 1))
+    if ech.rows and min(ech.rows[-1]) == n:
+        for y in kernel_basis(m.transpose()):
+            if sum(c * rhs.get(i, 0) for i, c in y.items()):
+                return Inconsistent(y)
+    return {min(row): row[n] for row in ech.rows if n in row}
 
 
 def sparse_vec(terms, columns):
@@ -234,17 +275,9 @@ def _cancel(v, c, row):
     return mv
 
 
-def _to_int_row(v):
-    """Scale a rational sparse vector to coprime integers with a positive
-    leading coefficient."""
-    if all(type(c) is int for c in v.values()):
-        row = {k: c for k, c in v.items() if c}
-    else:
-        items = [(k, Fraction(c)) for k, c in v.items() if c]
-        den = 1
-        for _, c in items:
-            den = den * c.denominator // gcd(den, c.denominator)
-        row = {k: int(c * den) for k, c in items}
+def _primitive(row):
+    """The integer row divided by its content, signed so that the
+    leading coefficient is positive."""
     if not row:
         return row
     g = 0
@@ -255,6 +288,18 @@ def _to_int_row(v):
     if g == 1:
         return row
     return {k: c // g for k, c in row.items()}
+
+
+def _to_int_row(v):
+    """Scale a rational sparse vector to coprime integers with a positive
+    leading coefficient."""
+    if all(type(c) is int for c in v.values()):
+        return _primitive({k: c for k, c in v.items() if c})
+    items = [(k, Fraction(c)) for k, c in v.items() if c]
+    den = 1
+    for _, c in items:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return _primitive({k: int(c * den) for k, c in items})
 
 
 class SpanReducer:
@@ -343,16 +388,9 @@ class SpanReducer:
 
     def insert(self, v):
         """Add v to the span; True if the dimension grew."""
-        r = self._reduce(_to_int_row(v))
+        r = _primitive(self._reduce(_to_int_row(v)))
         if not r:
             return False
-        g = 0
-        for c in r.values():
-            g = gcd(g, c)
-        if r[min(r)] < 0:
-            g = -g
-        if g != 1:
-            r = {k: c // g for k, c in r.items()}
         self.pivot_rows[min(r)] = r
         return True
 

@@ -18,17 +18,10 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from fractions import Fraction
+
+from .linalg import Combination, signed_sum
 
 _X_RE = re.compile(r"^x([1-9][0-9]*)$")
-
-
-def _coeff(c):
-    """A rational coefficient as an int when integral, else a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 @functools.cache
@@ -64,14 +57,16 @@ def mono_mul(a, b):
     return (tuple(sorted(pa + (ta,) + pb, key=gkey)), tb)
 
 
-def mono_degree(m):
-    return len(m[0]) + 1
-
-
 def mono_key(m):
     """Global monomial order: degree, then tail, then prefix lex."""
     prefix, tail = m
     return (len(prefix) + 1, gkey(tail), tuple(gkey(g) for g in prefix))
+
+
+def monomial_index(elts):
+    """The monomials of the Elts in mono_key order, and their positions."""
+    monos = sorted({m for e in elts for m in e.terms}, key=mono_key)
+    return monos, {m: i for i, m in enumerate(monos)}
 
 
 def mono_str(m):
@@ -90,29 +85,14 @@ def param_degree(m):
     return sum(1 for g in prefix + (tail,) if not is_x(g))
 
 
-class Elt:
+class Elt(Combination):
     """Element of the free perm algebra: dict monomial -> nonzero coefficient.
 
-    The constructor and ``scale`` store an integral coefficient as an int
-    and any other as a Fraction; sums and products of int coefficients
-    stay int.  Since ``Fraction(2) == 2`` and the two hash alike, equality,
-    hashing and rendering do not depend on which of the two is stored.
+    The arithmetic is ``linalg.Combination``'s, with integral coefficients
+    stored as int; products of int coefficients stay int.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                c = _coeff(c)
-                if c:
-                    t[m] = c
-        self.terms = t
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def gen(cls, name):
@@ -122,32 +102,6 @@ class Elt:
     @classmethod
     def monomial(cls, m, coeff=1):
         return cls({m: coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, Elt) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        r = Elt.__new__(Elt)
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        r = Elt.__new__(Elt)
-        r.terms = {m: -c for m, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Elt):
@@ -165,32 +119,12 @@ class Elt:
             return r
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        c = _coeff(c)
-        if not c:
-            return Elt()
-        return Elt({m: c * v for m, v in self.terms.items()})
-
     def monomials(self):
         return sorted(self.terms, key=mono_key)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in self.monomials():
-            c = self.terms[m]
-            body = mono_str(m)
-            mag = abs(c)
-            word = body if mag == 1 else f"{mag} {body}"
-            if not parts:
-                parts.append(word if c > 0 else f"-{word}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + word)
-        return " ".join(parts)
+        return signed_sum(((self.terms[m], mono_str(m))
+                           for m in self.monomials()), " ")
 
     __repr__ = __str__
 
@@ -205,21 +139,13 @@ def commutator(a, b):
     return a * b - b * a
 
 
-_P = None
-_Q = None
-
-
-def _params():
-    global _P, _Q
-    if _P is None:
-        _P, _Q = Elt.gen("p"), Elt.gen("q")
-    return _P, _Q
+_P = Elt.gen("p")
+_Q = Elt.gen("q")
 
 
 def bracket(a, b):
     """Mutation product <a, b> = (a p) b - (b q) a inside the free perm algebra."""
-    p, q = _params()
-    return (a * p) * b - (b * q) * a
+    return (a * _P) * b - (b * _Q) * a
 
 
 def multilinear_monomials(n):

@@ -20,7 +20,7 @@ from collections import Counter
 
 from .linalg import Inconsistent, Matrix, SpanReducer, solve, sparse_vec
 from .mutation import expand
-from .perm import Elt, mono_key
+from .perm import Elt, monomial_index, param_degree, x_multidegree
 from .terms import TermPoly, bnode, render
 
 
@@ -43,10 +43,6 @@ class IdealComponentRequest:
                     f"target {dict(self.multidegree)}")
 
 
-def _poly_multidegree(poly):
-    return Counter(poly.variables())
-
-
 def mutation_ideal_words(req):
     """Bracket words spanning the mutation-side component, in a fixed
     order: generators first-to-last, missing variables bracketed on the
@@ -57,7 +53,7 @@ def mutation_ideal_words(req):
         while frontier:
             nxt = []
             for w in frontier:
-                missing = req.multidegree - _poly_multidegree(w)
+                missing = req.multidegree - Counter(w.variables())
                 if not missing:
                     out.append(w)
                     continue
@@ -107,10 +103,9 @@ def perm_ideal_component(generators, multidegree):
         if not g:
             continue
         monos = list(g.terms)
-        gx = _x_count(monos[0])
-        gparam = sum(1 for v in _mono_letters(monos[0]) if v in "pq")
-        if any(_x_count(m) != gx or
-               sum(1 for v in _mono_letters(m) if v in "pq") != gparam
+        gx = x_multidegree(monos[0])
+        gparam = param_degree(monos[0])
+        if any(x_multidegree(m) != gx or param_degree(m) != gparam
                for m in monos):
             raise ValueError("generator is not multihomogeneous")
         complement = target - gx
@@ -134,15 +129,6 @@ def perm_ideal_component(generators, multidegree):
     return out
 
 
-def _mono_letters(m):
-    prefix, tail = m
-    return prefix + (tail,)
-
-
-def _x_count(m):
-    return Counter(v for v in _mono_letters(m) if v not in ("p", "q"))
-
-
 def in_component_span(component, element):
     red = SpanReducer()
     columns = {}
@@ -161,8 +147,7 @@ def cohn_check(req, target):
     The verdict is "exceptional image certified" exactly when the target
     is in the perm-side span but not the mutation-side span.
     """
-    tdeg = _poly_multidegree(target)
-    if tdeg != req.multidegree:
+    if Counter(target.variables()) != req.multidegree:
         raise ValueError("target multidegree differs from the request")
     t_elt = expand(target)
 
@@ -172,9 +157,7 @@ def cohn_check(req, target):
 
     words = mutation_ideal_words(req)
     mut_comp = [expand(w) for w in words]
-    monos = sorted({m for e in mut_comp + [t_elt] for m in e.terms},
-                   key=mono_key)
-    midx = {m: i for i, m in enumerate(monos)}
+    monos, midx = monomial_index(mut_comp + [t_elt])
     # equations: rows indexed by perm monomial, columns by lambda_i
     rows = [{} for _ in monos]
     for j, e in enumerate(mut_comp):

@@ -19,9 +19,7 @@ import itertools
 import re
 from fractions import Fraction
 
-
-def var(name):
-    return ("v", name)
+from .linalg import Combination, signed_sum
 
 
 def term_degree(t):
@@ -64,65 +62,19 @@ def rename_leaves(t, mapping):
     return (t[0], rename_leaves(t[1], mapping), rename_leaves(t[2], mapping))
 
 
-class TermPoly:
-    """Rational linear combination of terms."""
+class TermPoly(Combination):
+    """Rational linear combination of terms, with ``linalg.Combination``'s
+    arithmetic."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    t[m] = c
-        self.terms = t
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def var(cls, name):
-        return cls({("v", name): Fraction(1)})
+        return cls({("v", name): 1})
 
     @classmethod
     def term(cls, t, coeff=1):
-        return cls({t: Fraction(coeff)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TermPoly) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, Fraction(0)) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        r = TermPoly.__new__(TermPoly)
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        r = TermPoly.__new__(TermPoly)
-        r.terms = {m: -c for m, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        r = TermPoly.__new__(TermPoly)
-        r.terms = {} if not c else {m: c * v for m, v in self.terms.items()}
-        return r
-
-    __rmul__ = scale
+        return cls({t: coeff})
 
     def rename(self, mapping):
         out = TermPoly.zero()
@@ -147,7 +99,7 @@ def _combine(kind, a, b):
     for t1, c1 in a.terms.items():
         for t2, c2 in b.terms.items():
             t = (kind, t1, t2)
-            nc = out.get(t, Fraction(0)) + c1 * c2
+            nc = out.get(t, 0) + c1 * c2
             if nc:
                 out[t] = nc
             else:
@@ -187,11 +139,6 @@ def substitute(poly, mapping):
     for t, c in poly.terms.items():
         out += go(t).scale(c)
     return out
-
-
-def structural_equal(a, b):
-    """Exact equality as formal combinations of trees."""
-    return a.terms == b.terms
 
 
 def _relabel_occurrences(t, name, labels, counter):
@@ -485,16 +432,5 @@ def _render_term(t):
 
 def render(poly):
     """Deterministic textual form; parse(render(p)) == p."""
-    if not poly.terms:
-        return "0"
-    parts = []
-    for t in sorted(poly.terms, key=term_sort_key):
-        c = poly.terms[t]
-        body = _render_term(t)
-        mag = abs(c)
-        word = body if mag == 1 else f"{mag}*{body}"
-        if not parts:
-            parts.append(word if c > 0 else f"-{word}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + word)
-    return " ".join(parts)
+    return signed_sum(((poly.terms[t], _render_term(t))
+                       for t in sorted(poly.terms, key=term_sort_key)), "*")

@@ -19,12 +19,11 @@ from fractions import Fraction
 from . import findim, speciality
 from .identities import (consequence_span, expansion_matrix, identity_kernel,
                          magmatic_basis, new_identities, tideal_membership)
-from .linalg import Matrix, rref
+from .linalg import Matrix, kernel_basis, rref
 from .mutation import (check_relations, enumerate_B, expand,
                        is_mutation_element, verify_basis_B)
 from .perm import Elt, commutator, multilinear_monomials
-from .terms import (TEMPLATES, TermPoly, bnode, mnode, multilinearize,
-                    structural_equal)
+from .terms import TEMPLATES, TermPoly, bnode, mnode, multilinearize
 
 
 def _v(name):
@@ -199,7 +198,7 @@ def check_counterexample_algebra():
     z, y, x = map(_v, "zyx")
     combo = (T["wa"].instantiate([z, y, x]) - T["wa"].instantiate([z, x, y])
              - T["f"].instantiate([z, y, x]))
-    if not structural_equal(T["ftilde"].instantiate([x, y, z]), combo):
+    if T["ftilde"].instantiate([x, y, z]) != combo:
         return False, "ftilde != wa(z,y,x) - wa(z,x,y) - f(z,y,x)"
     return True, "satisfies f, fails wa at (e1,e1,e3) = -e1; ftilde decomposes"
 
@@ -310,7 +309,6 @@ def check_infrastructure(seed=3):
         ech2, rank2 = rref(ech)
         if ech2 != ech or rank2 != rank:
             return False, f"rref not idempotent (trial {trial})"
-        from .linalg import kernel_basis
         if rank + len(kernel_basis(m)) != ncols:
             return False, f"rank-nullity fails (trial {trial})"
     return True, "perm dims, magmatic counts, 100 random rref checks"

@@ -96,6 +96,13 @@ def test_cohn_default(capsys):
     assert out.count("lambda") > 4
 
 
+def test_cohn_custom_generators_take_the_target_multidegree(capsys):
+    code, out, err = run(capsys, "cohn", "--generators", "<<x1,x1>,x2>",
+                         "--target", "<<<x1,x1>,x2>,x3>")
+    assert code == 0 and not err
+    assert "member of the mutation ideal" in out
+
+
 def test_findim_wa_fails_with_witness(capsys, prop35_file):
     code, out, _ = run(capsys, "findim", prop35_file, "--check", "wa")
     assert code == 1

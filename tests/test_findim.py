@@ -87,6 +87,12 @@ def test_prop35_satisfies_f_fails_wa():
     tup, val = witness
     assert tup == (0, 0, 2)
     assert val == [Fraction(-1), Fraction(0), Fraction(0)]
+    assert a.vec_str(val) == "-e1"
+    assert a.vec_str(a.zero()) == "0"
+    assert a.vec_str([Fraction(-1, 2), Fraction(1), Fraction(2)]) == \
+        "-1/2 e1 + e2 + 2 e3"
+    assert a.vec_str([Fraction(0), Fraction(1, 2), Fraction(-3)]) == \
+        "1/2 e2 - 3 e3"
 
 
 def test_zero_algebra_satisfies_everything():

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from mutperm.linalg import (Inconsistent, Matrix, SpanReducer, _eliminate,
-                            clean_vec, kernel_basis, rref, solve, sparse_vec)
+from mutperm.linalg import (Inconsistent, Matrix, SpanReducer, clean_vec,
+                            kernel_basis, rref, solve, sparse_vec)
 
 
 def dense_rank(rows, ncols):
@@ -47,10 +47,58 @@ def in_span(rows, v, ncols):
 
 
 def plain_rref(m):
-    """Oracle: Gauss-Jordan elimination of every row, no pre-thinning."""
-    rows = [dict(r) for r in m.rows]
-    rank = len(_eliminate(rows, m.ncols))
-    return Matrix(rows[:rank], m.ncols), rank
+    """Oracle: Gauss-Jordan elimination of every row in Fractions, no
+    pre-thinning; pivot on the earliest column, smallest magnitude."""
+    rows = [{k: Fraction(v) for k, v in r.items()} for r in m.rows]
+    n = len(rows)
+    r = 0
+    for c in range(m.ncols):
+        best = None
+        for i in range(r, n):
+            v = rows[i].get(c)
+            if v:
+                cand = (abs(v), i)
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            continue
+        i = best[1]
+        rows[r], rows[i] = rows[i], rows[r]
+        piv = rows[r][c]
+        rows[r] = {k: v / piv for k, v in rows[r].items()}
+        for j in range(n):
+            fac = rows[j].get(c) if j != r else None
+            if not fac:
+                continue
+            for k, v in rows[r].items():
+                nv = rows[j].get(k, 0) - fac * v
+                if nv:
+                    rows[j][k] = nv
+                else:
+                    rows[j].pop(k, None)
+        r += 1
+    return Matrix(rows[:r], m.ncols), r
+
+
+def oracle_kernel(m):
+    """Oracle: the reduced kernel basis read off plain_rref."""
+    ech, _ = plain_rref(m)
+    pivots = [min(row) for row in ech.rows]
+    return [{f: 1, **{c: -row[f] for row, c in zip(ech.rows, pivots)
+                      if f in row}}
+            for f in range(m.ncols) if f not in pivots]
+
+
+def oracle_solution(m, rhs):
+    """Oracle: the solution read off plain_rref of [m | rhs], free
+    variables zero; None when a pivot falls in the rhs column."""
+    n = m.ncols
+    aug = Matrix([{**row, n: rhs.get(i, 0)} for i, row in enumerate(m.rows)],
+                 n + 1)
+    ech, _ = plain_rref(aug)
+    if any(min(row) == n for row in ech.rows):
+        return None
+    return {min(row): row[n] for row in ech.rows if n in row}
 
 
 def rank_deficient_matrix(rng, nrows, ncols, rank):
@@ -84,10 +132,33 @@ def test_rref_matches_plain_gauss_jordan():
     cases += [rank_deficient_matrix(rng, rng.randint(4, 20),
                                     rng.randint(4, 20), rng.randint(1, 4))
               for _ in range(20)]
+    # int matrices, full-rank-ish and rank deficient
+    for _ in range(20):
+        ncols = rng.randint(1, 12)
+        cases.append(Matrix([{j: rng.randint(-5, 5) for j in range(ncols)
+                              if rng.random() < 0.5}
+                             for _ in range(rng.randint(1, 12))], ncols))
+    for _ in range(20):
+        ncols = rng.randint(2, 12)
+        base = [{j: rng.randint(-4, 4) for j in range(ncols)}
+                for _ in range(rng.randint(1, 3))]
+        cases.append(Matrix([{j: sum(rng.randint(-3, 3) * b[j] for b in base)
+                              for j in range(ncols)}
+                             for _ in range(rng.randint(2, 10))], ncols))
     for m in cases:
         ech, rank = rref(m)
         want, want_rank = plain_rref(m)
         assert ech == want and rank == want_rank
+        assert kernel_basis(m) == oracle_kernel(m)
+        rhs = {i: rng.choice((rng.randint(-3, 3), Fraction(1, 2)))
+               for i in range(m.nrows) if rng.random() < 0.7}
+        got = solve(m, rhs)
+        assert (None if isinstance(got, Inconsistent) else got) == \
+            oracle_solution(m, rhs)
+        # a right side inside the column space is always solvable
+        x = {j: Fraction(rng.randint(-2, 2)) for j in range(m.ncols)}
+        want = oracle_solution(m, m.mul_vec(x))
+        assert want is not None and solve(m, m.mul_vec(x)) == want
 
 
 def test_span_reducer_same_rows_for_int_and_fraction_input():
@@ -142,6 +213,11 @@ def test_solve_plugs_back_or_certifies():
                     combo[j] = combo.get(j, Fraction(0)) + c * v
             assert not any(combo.values())
             assert sum(c * rhs.get(i, 0) for i, c in cert.items()) != 0
+            # the canonical choice: the first left-kernel basis vector
+            # that pairs nonzero with the right-hand side
+            first = next(y for y in kernel_basis(m.transpose())
+                         if sum(c * rhs.get(i, 0) for i, c in y.items()))
+            assert cert == first
         else:
             assert m.mul_vec(res) == {i: c for i, c in rhs.items() if c}
 

@@ -7,6 +7,7 @@ import pytest
 from mutperm.perm import (Elt, bracket, commutator, gkey, mono_key, mono_mul,
                           multilinear_monomials, normalize_word, word_elt,
                           x_multidegree, param_degree)
+from mutperm.terms import TermPoly
 
 
 def closure_class(word):
@@ -109,6 +110,10 @@ def test_rendering_is_canonical():
     assert str(-2 * word_elt("x1")) == "-2 x1"
     e = word_elt("x2", "x1") - word_elt("x1", "x2")
     assert str(e) == "x2 x1 - x1 x2"
+    e = (word_elt("x1").scale(Fraction(1, 2)) - word_elt("x2", "p", "x1")
+         + 3 * word_elt("x2", "x1") - 2 * word_elt("q", "x1", "x3"))
+    assert str(e) == "1/2 x1 + 3 x2 x1 - x2 p x1 - 2 x1 q x3"
+    assert str(-e) == "-1/2 x1 - 3 x2 x1 + x2 p x1 + 2 x1 q x3"
 
 
 def test_integral_coefficients_are_stored_as_int():
@@ -122,6 +127,13 @@ def test_integral_coefficients_are_stored_as_int():
     x1, x2 = Elt.gen("x1"), Elt.gen("x2")
     assert all(type(c) is int for c in bracket(bracket(x1, x2), x1)
                .terms.values())
+    # TermPoly shares the rule
+    t = ("v", "a")
+    assert type(TermPoly({t: Fraction(4, 2)}).terms[t]) is int
+    assert type(TermPoly({t: Fraction(1, 2)}).terms[t]) is Fraction
+    assert type(TermPoly.term(t, Fraction(1, 2)).scale(2).terms[t]) is int
+    assert type((TermPoly.var("a") - TermPoly.var("a").scale(3))
+                .terms[t]) is int
 
 
 def test_int_and_fraction_coefficients_compare_and_render_alike():
@@ -131,6 +143,9 @@ def test_int_and_fraction_coefficients_compare_and_render_alike():
     fracs = Elt(dict(zip(ms, (Fraction(6, 2), Fraction(-1), Fraction(1)))))
     raw = Elt.__new__(Elt)
     raw.terms = dict(zip(ms, (Fraction(3), Fraction(-1), Fraction(1))))
+    # an Elt never equals a TermPoly, even over the same dict
+    assert ints != TermPoly(ints.terms) and TermPoly(ints.terms) != ints
+    assert Elt.zero() != TermPoly.zero()
     for other in (fracs, raw):
         assert ints == other and str(ints) == str(other)
         assert ints * ints == other * other

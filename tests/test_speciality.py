@@ -59,6 +59,7 @@ def test_cohn_check_reproduces_reference_system():
         got.append(normalize(coeffs, int(rep["rhs"].get(i, 0))))
     want = sorted(normalize(c, r) for c, r in REFERENCE_SYSTEM)
     assert sorted(got) == want
+    assert rep["certificate"] == {0: 3, 1: 2, 2: 1, 4: -1, 8: 1}
 
 
 def test_membership_identity_for_perm_side():

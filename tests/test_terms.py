@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from mutperm.terms import (TEMPLATES, ParseError, Template, TermPoly, bnode,
-                           mnode, multilinearize, parse, render,
-                           structural_equal, substitute, term_vars)
+                           mnode, multilinearize, parse, render, substitute,
+                           term_vars)
 
 
 def v(name):
@@ -26,6 +26,11 @@ def test_parse_render_round_trip():
     for text in cases:
         poly = parse(text)
         assert parse(render(poly)) == poly
+    # signs, unit, integral and 1/2 coefficients, zero
+    assert render(parse("-<a,b> + 2*<a,<b,c>> - 1/2*(a*b) + 4/2*<b,a>"
+                        " + <c,a>")) == \
+        "-<a,b> + 2*<b,a> + <c,a> - 1/2*(a*b) + 2*<a,<b,c>>"
+    assert render(TermPoly.zero()) == "0"
 
 
 def test_render_round_trip_on_template_bodies():
@@ -97,7 +102,7 @@ def test_ftilde_decomposition_is_structural():
     x, y, z = v("x"), v("y"), v("z")
     combo = (T["wa"].instantiate([z, y, x]) - T["wa"].instantiate([z, x, y])
              - T["f"].instantiate([z, y, x]))
-    assert structural_equal(T["ftilde"].instantiate([x, y, z]), combo)
+    assert T["ftilde"].instantiate([x, y, z]) == combo
 
 
 def test_crit36_uses_ordinary_product_only():
@@ -110,3 +115,12 @@ def test_rational_coefficients():
     poly = parse("1/3*<a,b> - 2/3*<a,b>")
     ((_, c),) = poly.terms.items()
     assert c == Fraction(-1, 3)
+    # integral coefficients are stored as int, the others as Fraction
+    ab = ("b", ("v", "a"), ("v", "b"))
+    assert type(parse("4/2*<a,b>").terms[ab]) is int
+    assert type(TermPoly({ab: Fraction(-6, 3)}).terms[ab]) is int
+    assert type(TermPoly.term(ab, Fraction(1, 2)).terms[ab]) is Fraction
+    assert type(parse("1/2*<a,b>").scale(2).terms[ab]) is int
+    assert all(type(c) is int
+               for c in TEMPLATES["conj4b"].instantiate(
+                   [parse("<a,b>"), "c", "d", "e"]).terms.values())
