@@ -81,7 +81,7 @@ def _known_templates(spec):
 def cmd_identities(args):
     t0 = time.monotonic()
     known = _known_templates(args.known)
-    rep = new_identities(known, args.degree, limit=args.limit)
+    rep = new_identities(known, args.degree)
     results = {
         "kernel_dim": rep["kernel_dim"],
         "consequence_dim": rep["consequence_dim"],
@@ -228,7 +228,6 @@ def build_parser():
     p = sub.add_parser("identities", help="multilinear identity scan")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--known", default="")
-    p.add_argument("--limit", type=int, default=6)
     p.add_argument("--paper-order", action="store_true",
                    help="include the degree-3 permutation matrix in the "
                         "preset column order")

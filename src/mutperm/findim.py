@@ -105,7 +105,9 @@ def load_algebra(source):
     zero.  ``source`` is a path, a file object, or a parsed dict.  A
     repeated [i, j, k] entry, a JSON float coefficient (which is not an
     exact rational), a JSON boolean for the dim, an index or a
-    coefficient, or a dim above MAX_DIM raises ValueError.
+    coefficient, a zero denominator, a dim above MAX_DIM, ``names`` that
+    are not dim strings, or a document or ``table`` of the wrong JSON type
+    raises ValueError.
     """
     if isinstance(source, dict):
         doc = source
@@ -114,16 +116,23 @@ def load_algebra(source):
     else:
         with open(source) as fh:
             doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("schema: the document is not an object")
     # type(x) is int, because JSON true and false are ints to isinstance
     if type(doc.get("dim")) is not int or doc["dim"] < 0:
         raise ValueError("schema: 'dim' must be a nonnegative integer")
     dim = doc["dim"]
     if dim > MAX_DIM:
         raise ValueError(f"'dim' {dim} is above the ceiling of {MAX_DIM}")
-    names = doc.get("names")
+    names, table = doc.get("names"), doc.get("table", [])
+    if names is not None and not (isinstance(names, list) and len(names) == dim
+                                  and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"schema: 'names' is not a list of {dim} strings")
+    if not isinstance(table, list):
+        raise ValueError("schema: 'table' is not a list")
     a = FiniteAlgebra(dim, names)
     seen = set()
-    for pos, entry in enumerate(doc.get("table", [])):
+    for pos, entry in enumerate(table):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise ValueError(f"schema: table entry {pos} is not [i,j,k,c]")
         i, j, k, c = entry
@@ -140,7 +149,11 @@ def load_algebra(source):
             raise ValueError(f"schema: table entry {pos}: coefficient {c!r} "
                              f"is a {type(c).__name__}; write it as an "
                              f"integer or a rational string")
-        a.table[i - 1][j - 1][k - 1] = Fraction(str(c))
+        try:
+            a.table[i - 1][j - 1][k - 1] = Fraction(str(c))
+        except ZeroDivisionError:
+            raise ValueError(f"schema: table entry {pos}: coefficient {c!r} "
+                             f"has a zero denominator") from None
     return a
 
 

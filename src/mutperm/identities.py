@@ -16,12 +16,10 @@ import math
 from collections import deque
 
 from .linalg import Matrix, SpanReducer, kernel_basis, rref
-from .mutation import _expander, expand, tree_shapes, _tree_term
+from .mutation import _expander, bracket_monomials, expand
 from .perm import monomial_index
 from .terms import (Template, TermPoly, _combine, rename_leaves, substitute,
                     term_vars)
-
-DEFAULT_DEGREE_LIMIT = 6
 
 
 def _magmatic_count(n):
@@ -29,14 +27,14 @@ def _magmatic_count(n):
     return math.factorial(n) * math.comb(2 * n - 2, n - 1) // n
 
 
-# Most magmatic monomials one degree may enumerate, whatever the caller's
-# limit: 30,240, the count at the default limit (degree 7 has 665,280).
-MAX_MAGMATIC = _magmatic_count(DEFAULT_DEGREE_LIMIT)
+# Most magmatic monomials one degree may enumerate: 30,240, the count at
+# degree 6 (degree 7 has 665,280).
+MAX_MAGMATIC = _magmatic_count(6)
 
 
-def _check_degree(n, limit):
-    if not 1 <= n <= limit:
-        raise ValueError(f"degree {n} outside limit {limit}")
+def _check_degree(n):
+    if n < 1:
+        raise ValueError(f"degree {n} is below 1")
     # the count grows with n, so degree 20 stands in for any higher one
     count = _magmatic_count(min(n, 20))
     if count > MAX_MAGMATIC:
@@ -50,26 +48,21 @@ def _xnames(n):
     return [f"x{i}" for i in range(1, n + 1)]
 
 
-def magmatic_basis(n, kind="b", limit=DEFAULT_DEGREE_LIMIT):
+def magmatic_basis(n, kind="b"):
     """Ordered multilinear magmatic monomials of degree n (as terms).
 
     Shapes are enumerated with the smaller left factor first and variable
     permutations lexicographically; for n = 3 this reproduces the order
     a(bc), a(cb), ..., (cb)a used in the degree-3 rank computation.
-    Raises ValueError above ``limit`` or above MAX_MAGMATIC monomials.
+    Raises ValueError below degree 1 or above MAX_MAGMATIC monomials.
     """
-    _check_degree(n, limit)
-    names = _xnames(n)
-    out = []
-    for shape in tree_shapes(n):
-        for perm in itertools.permutations(names):
-            out.append(_tree_term(shape, list(perm), kind))
-    return out
+    _check_degree(n)
+    return bracket_monomials(dict.fromkeys(_xnames(n), 1), kind)
 
 
-def expansion_matrix(n, limit=DEFAULT_DEGREE_LIMIT):
+def expansion_matrix(n):
     """Rows: magmatic monomials; columns: perm monomials (global order)."""
-    basis = magmatic_basis(n, limit=limit)
+    basis = magmatic_basis(n)
     # one subtree cache for the whole basis: the monomials share subtrees
     go = _expander()
     expansions = [go(t) for t in basis]
@@ -93,14 +86,14 @@ def poly_to_vec(poly, index):
     return out
 
 
-def identity_kernel(n, limit=DEFAULT_DEGREE_LIMIT):
+def identity_kernel(n):
     """Basis of all multilinear degree-n identities, as bracket polynomials.
 
     These are the vectors over the magmatic basis annihilated by the
     expansion map, i.e. the kernel of the transposed expansion matrix.
     """
-    basis = magmatic_basis(n, limit=limit)
-    mat = expansion_matrix(n, limit=limit).transpose()
+    basis = magmatic_basis(n)
+    mat = expansion_matrix(n).transpose()
     return [vec_to_poly(v, basis) for v in kernel_basis(mat)]
 
 
@@ -110,12 +103,11 @@ def _canonical_degree(template_or_poly):
     return len(template_or_poly.variables())
 
 
-def _as_poly_at_x(item, n):
+def _as_poly_at_x(item):
     if isinstance(item, Template):
         return item.instantiate(_xnames(item.arity))
-    poly = item
-    names = sorted(poly.variables())
-    return poly.rename(dict(zip(names, _xnames(len(names)))))
+    names = sorted(item.variables())
+    return item.rename(dict(zip(names, _xnames(len(names)))))
 
 
 def _lift_once(poly, d, kind):
@@ -132,9 +124,8 @@ def _lift_once(poly, d, kind):
 class _DegreeSpace:
     """Magmatic index plus precomputed permutation actions at one degree."""
 
-    def __init__(self, n, kind, limit):
-        self.n = n
-        self.basis = magmatic_basis(n, kind=kind, limit=limit)
+    def __init__(self, n, kind):
+        self.basis = magmatic_basis(n, kind)
         self.index = {t: i for i, t in enumerate(self.basis)}
         names = _xnames(n)
         self.transposition_maps = [
@@ -146,83 +137,71 @@ class _DegreeSpace:
         column i goes to column index_map(mapping)[i]."""
         return [self.index[rename_leaves(t, mapping)] for t in self.basis]
 
-    def permuted(self, vec, perm):
-        return {perm[i]: c for i, c in vec.items()}
+
+def _close(red, actions, bound):
+    """Grow ``red`` to the smallest span that contains it and is closed
+    under ``actions`` (linear maps, as callables on sparse vectors), or
+    until ``red.dim`` reaches ``bound``.
+
+    A FIFO worklist applies every action once to each accepted row; the
+    accepted rows span the result, so it is closed once the queue is
+    empty.  This accepts the same rows in the same order as passes that
+    re-apply every action to every pivot row until a pass adds nothing.
+    Pivot rows are never rewritten after insertion and pivot_rows
+    iterates in insertion order, so the queue meets rows in the order
+    those passes first visit them; a later visit only re-inserts vectors
+    already in the span, which are rejected without changing any state.
+    """
+    queue = deque(red.pivot_rows.values())
+    while queue and red.dim < bound:
+        vec = queue.popleft()
+        for act in actions:
+            if red.insert(act(vec)):
+                # the accepted row is the newest pivot row
+                queue.append(next(reversed(red.pivot_rows.values())))
+                if red.dim >= bound:
+                    break
 
 
-def consequence_span(identities, n, kind="b", limit=DEFAULT_DEGREE_LIMIT,
-                     cap=None, stop=None):
+def consequence_span(identities, n, kind="b", cap=None):
     """Span of all multilinear degree-n T-ideal consequences.
 
     ``identities`` is a list of Templates or multilinear TermPolys.  The
     result is a list of sparse vectors over the degree-n magmatic basis
     (use ``magmatic_basis(n, kind)`` for the column meaning).  ``cap``
     stops growth once the dimension is known to be reached (callers must
-    justify the bound); ``stop`` is an optional callback on the reducer
-    for early termination (e.g. membership queries).
+    justify the bound).
     """
-    _check_degree(n, limit)
-    items = [(_canonical_degree(it), _as_poly_at_x(it, n)) for it in identities]
+    _check_degree(n)
+    items = [(_canonical_degree(it), _as_poly_at_x(it)) for it in identities]
     if any(d > n for d, _ in items):
         raise ValueError("identity degree exceeds target degree")
     dmin = min((d for d, _ in items), default=n)
 
     prev_polys = []
-    reducer = None
     for d in range(dmin, n + 1):
-        space = _DegreeSpace(d, kind, limit)
+        space = _DegreeSpace(d, kind)
         reducer = SpanReducer()
-        done = False
-        ticks = [0]
-
-        def saturated(force=False):
-            if cap is not None and d == n and reducer.dim >= cap:
-                return True
-            if stop is not None and d == n:
-                ticks[0] += 1
-                if force or ticks[0] % 32 == 0:
-                    return stop(reducer, space)
-            return False
-
+        bound = cap if d == n and cap is not None else math.inf
         gens = [p for deg, p in items if deg == d]
         for poly in prev_polys:
             gens.extend(_lift_once(poly, d - 1, kind))
         for poly in gens:
-            if done:
+            reducer.insert(poly_to_vec(poly, space.index))
+            if reducer.dim >= bound:
                 break
-            vec = poly_to_vec(poly, space.index)
-            reducer.insert(vec)
-            done = saturated()
-        # Close under variable permutations (adjacent transpositions) with
-        # a FIFO worklist: each pivot row has the transpositions applied
-        # exactly once.  This accepts the same rows in the same order as
-        # passes that re-apply them to every pivot row until a pass adds
-        # nothing.  Pivot rows are never rewritten after insertion and
-        # pivot_rows iterates in insertion order, so the queue meets rows
-        # in the order those passes first visit them; a later visit only
-        # re-inserts vectors already in the span, which are rejected
-        # without changing any state.  So the accepted inserts happen in
-        # the same sequence and saturated() is called at the same points.
-        queue = deque(reducer.pivot_rows.values())
-        while queue and not done:
-            vec = queue.popleft()
-            for perm in space.transposition_maps:
-                if reducer.insert(space.permuted(vec, perm)):
-                    # the accepted row is the newest pivot row
-                    queue.append(next(reversed(reducer.pivot_rows.values())))
-                    if saturated():
-                        done = True
-                        break
-        if not done and saturated(force=True):
-            done = True
+        # close under variable permutations: adjacent transpositions
+        # generate S_d
+        _close(reducer, [lambda v, m=m: {m[i]: c for i, c in v.items()}
+                         for m in space.transposition_maps], bound)
         if d < n:
             prev_polys = [vec_to_poly(v, space.basis)
                           for v in reducer.rows()]
-    return reducer.rows() if reducer is not None else []
+    return reducer.rows()
 
 
-def _kernel_dim(n, limit):
-    mat = expansion_matrix(n, limit=limit)
+def _kernel_dim(n):
+    mat = expansion_matrix(n)
     _, rank = rref(mat)
     return mat.nrows - rank, mat
 
@@ -230,29 +209,26 @@ def _kernel_dim(n, limit):
 def _quotient_gain(w, actions, gap):
     """Dimension of the smallest subspace that contains w and is closed
     under ``actions`` (SpanReducer.quotient_map columns), counted up to
-    ``gap``.  A FIFO worklist applies every action once to each accepted
-    row; the accepted rows span the subspace, so it is closed once the
-    queue is empty."""
+    ``gap``."""
     if not w:
         return 0
     sub = SpanReducer()
     sub.insert(w)
-    queue = deque(sub.pivot_rows.values())
-    while queue and sub.dim < gap:
-        x = queue.popleft()
-        for act in actions:
+
+    def apply(act):
+        def go(x):
             y = {}
             for j, c in x.items():
                 for k, a in act[j].items():
                     y[k] = y.get(k, 0) + c * a
-            if sub.insert(y):
-                queue.append(next(reversed(sub.pivot_rows.values())))
-                if sub.dim == gap:
-                    break
+            return y
+        return go
+
+    _close(sub, [apply(act) for act in actions], gap)
     return sub.dim
 
 
-def new_identities(known, n, limit=DEFAULT_DEGREE_LIMIT):
+def new_identities(known, n):
     """Compare the full identity space at degree n with the consequences
     of ``known``.
 
@@ -275,21 +251,20 @@ def new_identities(known, n, limit=DEFAULT_DEGREE_LIMIT):
     identity of mutations of perm algebras.
     """
     for it in known:
-        poly = _as_poly_at_x(it, n)
-        val = expand(poly)
+        val = expand(_as_poly_at_x(it))
         if val:
             name = it.name if isinstance(it, Template) else str(it)
             raise ValueError(f"not an identity: {name}; expansion {val}")
 
-    kdim, mat = _kernel_dim(n, limit)
+    kdim, mat = _kernel_dim(n)
     # consequences of vanishing identities always lie in the kernel, so
     # the kernel dimension is a sound growth cap
-    cons = consequence_span(known, n, kind="b", limit=limit, cap=kdim)
+    cons = consequence_span(known, n, kind="b", cap=kdim)
     cdim = len(cons)
 
     representatives = []
     if cdim < kdim:
-        space = _DegreeSpace(n, "b", limit)
+        space = _DegreeSpace(n, "b")
         # one index map over the magmatic basis per variable permutation
         names = _xnames(n)
         maps = [space.index_map(dict(zip(names, pp)))
@@ -332,7 +307,7 @@ def new_identities(known, n, limit=DEFAULT_DEGREE_LIMIT):
             "representatives": representatives}
 
 
-def tideal_membership(target, defining, kind="m", limit=DEFAULT_DEGREE_LIMIT):
+def tideal_membership(target, defining, kind="m"):
     """Does ``target`` follow from ``defining`` as a multilinear T-ideal
     consequence at its own degree?
 
@@ -341,29 +316,20 @@ def tideal_membership(target, defining, kind="m", limit=DEFAULT_DEGREE_LIMIT):
     the same product kind ('m' for ordinary-product varieties such as
     bicommutative algebras).
     """
-    names = sorted(target.variables())
     for t in target.terms:
         if any(c != 1 for c in term_vars(t).values()):
             raise ValueError("target is not multilinear; polarize it first")
-    n = len(names)
-    canon = target.rename(dict(zip(names, _xnames(n))))
+    canon = _as_poly_at_x(target)
     for t in canon.terms:
         if _kind_of(t) not in (None, kind):
             raise ValueError("mixed node kinds between target and variety")
 
-    found = [False]
-    vec_holder = {}
-
-    def stop(reducer, space):
-        if "vec" not in vec_holder:
-            vec_holder["vec"] = poly_to_vec(canon, space.index)
-        if reducer.contains(vec_holder["vec"]):
-            found[0] = True
-            return True
-        return False
-
-    consequence_span(defining, n, kind=kind, limit=limit, stop=stop)
-    return found[0]
+    n = len(target.variables())
+    red = SpanReducer()
+    for v in consequence_span(defining, n, kind=kind):
+        red.insert(v)
+    index = {t: i for i, t in enumerate(magmatic_basis(n, kind))}
+    return red.contains(poly_to_vec(canon, index))
 
 
 def _kind_of(t):

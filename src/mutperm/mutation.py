@@ -23,6 +23,7 @@ from math import comb
 
 from .linalg import SpanReducer, sparse_vec
 from .perm import Elt, bracket, commutator, gkey, param_degree, x_multidegree
+from .terms import fold
 
 
 def _resolve_leaf(name, assignment):
@@ -37,22 +38,8 @@ def _resolve_leaf(name, assignment):
 def _expander(assignment=None):
     """A term -> perm element expansion function that memoizes every
     subterm it expands, across all the terms it is given."""
-    cache = {}
-
-    def go(t):
-        r = cache.get(t)
-        if r is not None:
-            return r
-        if t[0] == "v":
-            r = _resolve_leaf(t[1], assignment)
-        elif t[0] == "b":
-            r = bracket(go(t[1]), go(t[2]))
-        else:
-            r = go(t[1]) * go(t[2])
-        cache[t] = r
-        return r
-
-    return go
+    return fold(lambda name: _resolve_leaf(name, assignment),
+                lambda kind, a, b: bracket(a, b) if kind == "b" else a * b)
 
 
 def expand(poly, assignment=None):
@@ -160,8 +147,8 @@ def _tree_term(shape, leaves, kind="b"):
             _tree_term(right, leaves[k:], kind))
 
 
-def bracket_monomials(multidegree):
-    """All bracket monomials (as terms) with the given x-multidegree."""
+def bracket_monomials(multidegree, kind="b"):
+    """All monomials (as terms with ``kind`` nodes) of an x-multidegree."""
     letters = []
     for name in sorted(multidegree, key=gkey):
         letters.extend([name] * multidegree[name])
@@ -177,7 +164,7 @@ def bracket_monomials(multidegree):
     out = []
     for shape in tree_shapes(n):
         for arr in arrangements:
-            out.append(_tree_term(shape, list(arr)))
+            out.append(_tree_term(shape, list(arr), kind))
     return out
 
 

@@ -16,8 +16,10 @@ unknowns lambda_1..lambda_k, one equation per perm monomial.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
+from .identities import MAX_MAGMATIC
 from .linalg import Inconsistent, Matrix, SpanReducer, solve, sparse_vec
 from .mutation import expand
 from .perm import Elt, monomial_index, param_degree, x_multidegree
@@ -29,18 +31,27 @@ class IdealComponentRequest:
 
     ``generators`` are bracket polynomials (usually single bracket words);
     ``multidegree`` maps variable name -> multiplicity.  Each generator's
-    multidegree must be dominated by the target.
+    multidegree must be dominated by the target, and the request may span
+    at most MAX_MAGMATIC bracket words, counted before any is built.
     """
 
     def __init__(self, generators, multidegree):
         self.generators = list(generators)
         self.multidegree = Counter(multidegree)
+        words = 0
         for g in self.generators:
             gv = Counter(g.variables())
             if gv - self.multidegree:
                 raise ValueError(
                     f"generator multidegree {dict(gv)} not dominated by "
                     f"target {dict(self.multidegree)}")
+            # a side for each missing letter, times their distinct orders
+            m = self.multidegree - gv
+            words += (2 ** m.total() * math.factorial(m.total())
+                      // math.prod(map(math.factorial, m.values())))
+        if words > MAX_MAGMATIC:
+            raise ValueError(f"the request spans {words:,} bracket words, "
+                             f"above the ceiling of {MAX_MAGMATIC:,}")
 
 
 def mutation_ideal_words(req):

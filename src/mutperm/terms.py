@@ -119,22 +119,30 @@ def mnode(a, b):
     return _combine("m", a, b)
 
 
-def substitute(poly, mapping):
-    """Replace leaves by polynomials (names absent from mapping stay leaves)."""
+def fold(leaf, node):
+    """A term walker that memoizes every subterm it meets, across all the
+    terms it is given: leaf(name) at a leaf, node(kind, l, r) at a node
+    whose children have values l and r."""
     cache = {}
 
     def go(t):
-        if t in cache:
-            return cache[t]
-        if t[0] == "v":
-            r = mapping.get(t[1])
-            if r is None:
-                r = TermPoly.term(t)
-        else:
-            r = _combine(t[0], go(t[1]), go(t[2]))
-        cache[t] = r
+        r = cache.get(t)
+        # not ``if not r``: a zero Elt or TermPoly is falsy
+        if r is None:
+            r = cache[t] = (leaf(t[1]) if t[0] == "v"
+                            else node(t[0], go(t[1]), go(t[2])))
         return r
 
+    return go
+
+
+def substitute(poly, mapping):
+    """Replace leaves by polynomials (names absent from mapping stay leaves)."""
+    def leaf(name):
+        r = mapping.get(name)
+        return TermPoly.var(name) if r is None else r
+
+    go = fold(leaf, _combine)
     out = TermPoly.zero()
     for t, c in poly.terms.items():
         out += go(t).scale(c)

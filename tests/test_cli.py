@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -61,14 +62,12 @@ def test_identities_unknown_template(capsys):
 
 
 def test_identities_oversized_degree_exits_2(capsys):
-    code, out, err = run(capsys, "identities", "--degree", "9",
-                         "--limit", "9")
+    code, out, err = run(capsys, "identities", "--degree", "9")
     assert code == 2 and out == ""
     assert "518,918,400" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     huge = str(10**9)
-    code, out, err = run(capsys, "identities", "--degree", huge,
-                         "--limit", huge)
+    code, out, err = run(capsys, "identities", "--degree", huge)
     assert code == 2 and out == "" and "more than" in err
 
 
@@ -101,6 +100,16 @@ def test_cohn_custom_generators_take_the_target_multidegree(capsys):
                          "--target", "<<<x1,x1>,x2>,x3>")
     assert code == 0 and not err
     assert "member of the mutation ideal" in out
+
+
+def test_cohn_oversized_request_exits_2_before_enumerating(capsys):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "cohn", "--generators", "x1", "--target",
+                         "<<<<<<x1,x2>,x3>,x4>,x5>,x6>,x7>")
+    assert time.monotonic() - t0 < 1
+    assert code == 2 and out == ""
+    assert "46,080" in err and "30,240" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_findim_wa_fails_with_witness(capsys, prop35_file):
@@ -168,7 +177,11 @@ def test_findim_json_booleans_exit_2(capsys, tmp_path):
     for doc, word in (({"dim": True, "table": [[True, True, True, "1"]]},
                        "'dim'"),
                       ({"dim": 1, "table": [[True, 1, 1, "1"]]}, "index i"),
-                      ({"dim": 1, "table": [[1, 1, 1, True]]}, "bool")):
+                      ({"dim": 1, "table": [[1, 1, 1, True]]}, "bool"),
+                      ([1, 2], "not an object"),
+                      ({"dim": 2, "names": 5}, "'names'"),
+                      ({"dim": 2, "table": 5}, "'table'"),
+                      ({"dim": 1, "table": [[1, 1, 1, "1/0"]]}, "zero")):
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "findim", str(path), "--check", "f")
         assert code == 2 and out == "" and word in err

@@ -1,6 +1,7 @@
 """The README's examples and the demos run as written.
 
-Each ```python block of README.md is run as a doctest.  Plain
+Each ```python block of README.md is run as a doctest, and each line of
+the command-line block is parsed by the CLI's argument parser.  Plain
 ``python -m doctest README.md`` cannot do this: it reads the closing
 fence after an example's expected output as part of that output.
 """
@@ -8,9 +9,12 @@ fence after an example's expected output as part of that output.
 import doctest
 import re
 import runpy
+import shlex
 from pathlib import Path
 
 import pytest
+
+from mutperm.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
@@ -27,6 +31,19 @@ def test_readme_python_blocks():
                                   "README.md", 0)
         runner.run(test)
     assert runner.failures == 0 and runner.tries > 0
+
+
+def test_readme_command_lines_parse():
+    """Every `mutperm ...` line of the README's command-line block parses;
+    parsing opens no file, so a line naming a removed flag fails here."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", section, re.S | re.M).group(1)
+    lines = [ln for ln in block.splitlines() if ln.startswith("mutperm ")]
+    assert len(lines) >= 5
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("demo", DEMOS)

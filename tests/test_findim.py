@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -119,6 +120,12 @@ def test_load_schema_errors():
         load_algebra({"dim": 2, "table": [[1, 2, 3, "1"]]})   # k out of range
     with pytest.raises(ValueError):
         load_algebra({"dim": 2, "table": [[1, 2, "1"]]})
+    for doc in ([1, 2], {"dim": 2, "names": 5},
+                {"dim": 2, "names": ["e1", 2]}, {"dim": 2, "names": ["e1"]},
+                {"dim": 2, "table": 5},
+                {"dim": 1, "table": [[1, 1, 1, "1/0"]]}):
+        with pytest.raises(ValueError):
+            load_algebra(io.StringIO(json.dumps(doc)))
 
 
 def test_mutation_algebra_zero_parameters():

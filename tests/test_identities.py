@@ -125,11 +125,11 @@ def fixed_point_consequence_span(identities, n):
     """Oracle: consequence_span with the permutation closure done by
     re-applying every transposition to every pivot row until a whole pass
     adds nothing."""
-    items = [(_canonical_degree(it), _as_poly_at_x(it, n))
+    items = [(_canonical_degree(it), _as_poly_at_x(it))
              for it in identities]
     prev_polys = []
     for d in range(min(deg for deg, _ in items), n + 1):
-        space = _DegreeSpace(d, "b", 6)
+        space = _DegreeSpace(d, "b")
         reducer = SpanReducer()
         gens = [p for deg, p in items if deg == d]
         for poly in prev_polys:
@@ -141,7 +141,7 @@ def fixed_point_consequence_span(identities, n):
             grew = False
             for vec in list(reducer.pivot_rows.values()):
                 for perm in space.transposition_maps:
-                    if reducer.insert(space.permuted(vec, perm)):
+                    if reducer.insert({perm[i]: c for i, c in vec.items()}):
                         grew = True
         prev_polys = [vec_to_poly(v, space.basis) for v in reducer.rows()]
     return reducer.rows()
@@ -162,6 +162,18 @@ def test_consequence_span_degree4_frozen_dims():
         [T["f"], T["wa"], T["hbar"], T["ibar"]], 4)) == 92
     assert len(consequence_span(
         [T["f"], T["wa"], T["conj4a"], T["conj4b"]], 4)) == 107
+
+
+@pytest.mark.parametrize("cap", [1, 17, 87])
+def test_consequence_span_cap_returns_cap_rows_of_the_span(cap):
+    known = [TEMPLATES["f"], TEMPLATES["wa"]]
+    full = SpanReducer()
+    for v in consequence_span(known, 4):
+        full.insert(v)
+    assert full.dim == 88
+    capped = consequence_span(known, 4, cap=cap)
+    assert len(capped) == cap
+    assert all(full.contains(v) for v in capped)
 
 
 def test_new_identities_degree3():
@@ -240,7 +252,7 @@ def quotient_gains(pivot_rows, kb, n):
     red = SpanReducer()
     red.pivot_rows = dict(pivot_rows)
     actions = [red.quotient_map(t)
-               for t in _DegreeSpace(n, "b", 6).transposition_maps]
+               for t in _DegreeSpace(n, "b").transposition_maps]
     gap = len(kb) - red.dim
     return [_quotient_gain(red.normal_form(v), actions, gap) for v in kb]
 
@@ -314,6 +326,9 @@ def test_tideal_membership_basics():
     # associativity does not follow from commutativity
     assoc = mnode(mnode(a, b), c) - mnode(a, mnode(b, c))
     assert not tideal_membership(assoc, [comm], kind="m")
+    # with no defining identities only 0 follows
+    assert not tideal_membership(assoc, [], kind="m")
+    assert not tideal_membership(parse("<<a,b>,c>"), [], kind="b")
 
 
 def test_tideal_membership_rejects_nonlinear_target():
