@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from fractions import Fraction
 from operator import itemgetter
 
@@ -102,20 +103,20 @@ def load_algebra(source):
 
     {"dim": n, "names": [...], "table": [[i, j, k, "c"], ...]} with 1-based
     indices and rational strings (or JSON integers); omitted entries are
-    zero.  ``source`` is a path, a file object, or a parsed dict.  A
-    repeated [i, j, k] entry, a JSON float coefficient (which is not an
-    exact rational), a JSON boolean for the dim, an index or a
-    coefficient, a zero denominator, a dim above MAX_DIM, ``names`` that
-    are not dim strings, or a document or ``table`` of the wrong JSON type
-    raises ValueError.
+    zero.  ``source`` is a path (str, bytes or os.PathLike), a file object
+    or the parsed document.  A repeated [i, j, k] entry, a JSON float
+    coefficient (which is not an exact rational), a JSON boolean for the
+    dim, an index or a coefficient, a zero denominator, a dim above
+    MAX_DIM, ``names`` that are not dim strings, or a document or
+    ``table`` of the wrong JSON type raises ValueError.
     """
-    if isinstance(source, dict):
-        doc = source
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source) as fh:
+            doc = json.load(fh)
     elif hasattr(source, "read"):
         doc = json.load(source)
     else:
-        with open(source) as fh:
-            doc = json.load(fh)
+        doc = source
     if not isinstance(doc, dict):
         raise ValueError("schema: the document is not an object")
     # type(x) is int, because JSON true and false are ints to isinstance

@@ -68,7 +68,7 @@ def expansion_matrix(n):
     expansions = [go(t) for t in basis]
     monos, idx = monomial_index(expansions)
     rows = [{idx[m]: c for m, c in e.terms.items()} for e in expansions]
-    return Matrix(rows, len(monos), labels=monos)
+    return Matrix(rows, len(monos))
 
 
 def vec_to_poly(vec, basis):
@@ -319,25 +319,11 @@ def tideal_membership(target, defining, kind="m"):
     for t in target.terms:
         if any(c != 1 for c in term_vars(t).values()):
             raise ValueError("target is not multilinear; polarize it first")
-    canon = _as_poly_at_x(target)
-    for t in canon.terms:
-        if _kind_of(t) not in (None, kind):
-            raise ValueError("mixed node kinds between target and variety")
-
     n = len(target.variables())
+    index = {t: i for i, t in enumerate(magmatic_basis(n, kind))}
+    # a term of the other or of mixed node kinds is outside the index
+    vec = poly_to_vec(_as_poly_at_x(target), index)
     red = SpanReducer()
     for v in consequence_span(defining, n, kind=kind):
         red.insert(v)
-    index = {t: i for i, t in enumerate(magmatic_basis(n, kind))}
-    return red.contains(poly_to_vec(canon, index))
-
-
-def _kind_of(t):
-    if t[0] == "v":
-        return None
-    k1 = t[0]
-    for child in (t[1], t[2]):
-        k2 = _kind_of(child)
-        if k2 is not None and k2 != k1:
-            raise ValueError("mixed node kinds inside one term")
-    return k1
+    return red.contains(vec)

@@ -112,16 +112,11 @@ def signed_sum(pairs, sep):
 
 
 class Matrix:
-    """Sparse rational matrix: a list of sparse rows over ncols columns.
+    """Sparse rational matrix: a list of sparse rows over ncols columns."""
 
-    ``labels``, when given, names the columns (e.g. perm monomials or
-    magmatic monomials); it is carried along for reporting only.
-    """
-
-    def __init__(self, rows, ncols, labels=None):
+    def __init__(self, rows, ncols):
         self.rows = [clean_vec(r) for r in rows]
         self.ncols = ncols
-        self.labels = labels
         for r in self.rows:
             if any(not (0 <= k < ncols) for k in r):
                 raise ValueError("row index outside column basis")
@@ -189,7 +184,7 @@ def rref(m):
     for c in pivots:
         piv = reduced[c][c]
         rows.append({k: Fraction(v, piv) for k, v in reduced[c].items()})
-    return Matrix(rows, m.ncols, m.labels), len(pivots)
+    return Matrix(rows, m.ncols), len(pivots)
 
 
 def kernel_basis(m):

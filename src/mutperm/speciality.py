@@ -174,7 +174,7 @@ def cohn_check(req, target):
     for j, e in enumerate(mut_comp):
         for m, c in e.terms.items():
             rows[midx[m]][j] = c
-    system = Matrix(rows, len(words), labels=monos)
+    system = Matrix(rows, len(words))
     rhs = {midx[m]: c for m, c in t_elt.terms.items()}
     sol = solve(system, rhs)
     in_mut = not isinstance(sol, Inconsistent)

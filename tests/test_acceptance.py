@@ -10,7 +10,7 @@ BUDGETS = {
     "degree3-expansions": 1,
     "bracket-relations": 1,
     "mutation-elements": 20,
-    "basis-B": 40,
+    "basis-B": 10,
     "vanishing-identities": 5,
     "degree3-identities": 10,
     "counterexample-algebra": 1,

@@ -126,6 +126,10 @@ def test_load_schema_errors():
                 {"dim": 1, "table": [[1, 1, 1, "1/0"]]}):
         with pytest.raises(ValueError):
             load_algebra(io.StringIO(json.dumps(doc)))
+    # parsed documents that are not objects; 5 is not a file descriptor
+    for doc in ([1, 2], 5, None):
+        with pytest.raises(ValueError):
+            load_algebra(doc)
 
 
 def test_mutation_algebra_zero_parameters():

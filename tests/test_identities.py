@@ -335,3 +335,11 @@ def test_tideal_membership_rejects_nonlinear_target():
     a, b = TermPoly.var("a"), TermPoly.var("b")
     with pytest.raises(ValueError):
         tideal_membership(mnode(a, a), [mnode(a, b) - mnode(b, a)], kind="m")
+
+
+def test_tideal_membership_rejects_other_node_kinds():
+    a, b = TermPoly.var("a"), TermPoly.var("b")
+    comm = mnode(a, b) - mnode(b, a)
+    for target in ("<<a,b>,c>", "<a*b,c>"):
+        with pytest.raises(ValueError):
+            tideal_membership(parse(target), [comm], kind="m")

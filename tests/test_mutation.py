@@ -2,11 +2,12 @@ from math import comb
 
 import pytest
 
+from mutperm import mutation
 from mutperm.linalg import SpanReducer
-from mutperm.mutation import (ComponentSpan, bracket_monomials, check_relations,
-                              enumerate_B, expand, is_mutation_element,
-                              tree_shapes, verify_basis_B)
-from mutperm.perm import Elt, bracket, commutator
+from mutperm.mutation import (BSetElement, ComponentSpan, bracket_monomials,
+                              check_relations, enumerate_B, expand,
+                              is_mutation_element, tree_shapes, verify_basis_B)
+from mutperm.perm import Elt, bracket, commutator, gkey
 from mutperm.terms import TermPoly, parse
 
 
@@ -174,9 +175,32 @@ def test_partial_span_grows_fully_as_a_subcomponent():
 
 
 def test_verify_basis_B_small():
-    rep = verify_basis_B(3, 3)
-    assert rep == {"independent": True, "spans": True,
-                   "closed_under_bracket": True, "multilinear_dim": 7}
+    for n_vars, degree, dim in [(3, 3, 7), (4, 4, 13), (5, 4, 0)]:
+        rep = verify_basis_B(n_vars, degree)
+        assert rep == {"independent": True, "spans": True,
+                       "closed_under_bracket": True,
+                       "multilinear_dim": dim}, (n_vars, degree)
+
+
+def test_verify_basis_B_reports_injected_faults(monkeypatch):
+    real = enumerate_B(3, 3)
+
+    def report(elements):
+        monkeypatch.setattr(mutation, "enumerate_B", lambda n, d: elements)
+        return verify_basis_B(3, 3)
+
+    for family in ("B1", "B2", "B3"):
+        last = max(i for i, b in enumerate(real) if b.family == family)
+        assert not report(real[:last] + real[last + 1:])["spans"], family
+    assert not report(real + real[-1:])["independent"]
+    # A correctly graded element outside the mutation subalgebra: a B3
+    # value plus a monomial of its multidegree with a parameter tail.
+    b3 = real[-1]
+    prefix, tail = next(iter(b3.value.terms))
+    moved = (tuple(sorted(prefix[:-1] + (tail,), key=gkey)), prefix[-1])
+    bad = BSetElement("B3", b3.data, b3.value + Elt.monomial(moved))
+    rep = report(real + [bad])
+    assert rep["independent"] and not rep["spans"]
 
 
 def test_verify_basis_B_detects_failure():
