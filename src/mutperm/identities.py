@@ -97,17 +97,35 @@ def identity_kernel(n):
     return [vec_to_poly(v, basis) for v in kernel_basis(mat)]
 
 
-def _canonical_degree(template_or_poly):
-    if isinstance(template_or_poly, Template):
-        return template_or_poly.arity
-    return len(template_or_poly.variables())
-
-
 def _as_poly_at_x(item):
     if isinstance(item, Template):
         return item.instantiate(_xnames(item.arity))
     names = sorted(item.variables())
     return item.rename(dict(zip(names, _xnames(len(names)))))
+
+
+def _only_kind(t, kind):
+    """Are all the inner nodes of the term t of ``kind``?"""
+    return t[0] == "v" or (t[0] == kind and _only_kind(t[1], kind)
+                           and _only_kind(t[2], kind))
+
+
+def _multilinear_at_x(item, kind):
+    """(n, ``item`` at x1..xn) for an identity whose terms all lie in the
+    degree-n magmatic basis of ``kind``, n its number of variables;
+    raises ValueError naming the identity and the reason otherwise."""
+    poly = _as_poly_at_x(item)
+    name = item.name if isinstance(item, Template) else str(item)
+    n = len(poly.variables())
+    if not all(_only_kind(t, kind) for t in poly.terms):
+        has, uses = (("product", "bracket") if kind == "b"
+                     else ("bracket", "product"))
+        raise ValueError(f"identity {name} has {has} nodes; this scan "
+                         f"uses {uses}s")
+    if any(term_vars(t) != dict.fromkeys(_xnames(n), 1) for t in poly.terms):
+        raise ValueError(f"identity {name} is not multilinear; "
+                         f"polarize it first")
+    return n, poly
 
 
 def _lift_once(poly, d, kind):
@@ -128,31 +146,34 @@ class _DegreeSpace:
         self.basis = magmatic_basis(n, kind)
         self.index = {t: i for i, t in enumerate(self.basis)}
         names = _xnames(n)
-        self.transposition_maps = [
-            self.index_map({names[k]: names[k + 1], names[k + 1]: names[k]})
+        # the adjacent transpositions, which generate S_n
+        self.transpositions = [
+            self.action({names[k]: names[k + 1], names[k + 1]: names[k]})
             for k in range(n - 1)]
 
-    def index_map(self, mapping):
-        """The column permutation of renaming leaves by ``mapping``:
-        column i goes to column index_map(mapping)[i]."""
-        return [self.index[rename_leaves(t, mapping)] for t in self.basis]
+    def action(self, mapping):
+        """Renaming leaves by ``mapping``, as a map on sparse vectors."""
+        colmap = [self.index[rename_leaves(t, mapping)] for t in self.basis]
+        return lambda v: {colmap[i]: c for i, c in v.items()}
 
 
-def _close(red, actions, bound):
+def _close(red, actions, bound, start):
     """Grow ``red`` to the smallest span that contains it and is closed
     under ``actions`` (linear maps, as callables on sparse vectors), or
-    until ``red.dim`` reaches ``bound``.
+    until ``red.dim`` reaches ``bound``.  The pivot rows before position
+    ``start`` (in insertion order) must already span a closed subspace.
 
-    A FIFO worklist applies every action once to each accepted row; the
-    accepted rows span the result, so it is closed once the queue is
-    empty.  This accepts the same rows in the same order as passes that
-    re-apply every action to every pivot row until a pass adds nothing.
-    Pivot rows are never rewritten after insertion and pivot_rows
-    iterates in insertion order, so the queue meets rows in the order
-    those passes first visit them; a later visit only re-inserts vectors
-    already in the span, which are rejected without changing any state.
+    A FIFO worklist applies every action once to each row from ``start``
+    on and to each accepted row; with the closed rows they span the
+    result, so it is closed once the queue is empty.  This accepts the
+    same rows in the same order as passes that re-apply every action to
+    every pivot row until a pass adds nothing.  Pivot rows are never
+    rewritten after insertion and pivot_rows iterates in insertion order,
+    so the queue meets rows in the order those passes first visit them; a
+    later visit only re-inserts vectors already in the span, which are
+    rejected without changing any state.
     """
-    queue = deque(red.pivot_rows.values())
+    queue = deque(itertools.islice(red.pivot_rows.values(), start, None))
     while queue and red.dim < bound:
         vec = queue.popleft()
         for act in actions:
@@ -170,10 +191,11 @@ def consequence_span(identities, n, kind="b", cap=None):
     result is a list of sparse vectors over the degree-n magmatic basis
     (use ``magmatic_basis(n, kind)`` for the column meaning).  ``cap``
     stops growth once the dimension is known to be reached (callers must
-    justify the bound).
+    justify the bound).  Raises ValueError for an identity that is not
+    multilinear or has nodes of another kind.
     """
     _check_degree(n)
-    items = [(_canonical_degree(it), _as_poly_at_x(it)) for it in identities]
+    items = [_multilinear_at_x(it, kind) for it in identities]
     if any(d > n for d, _ in items):
         raise ValueError("identity degree exceeds target degree")
     dmin = min((d for d, _ in items), default=n)
@@ -190,10 +212,7 @@ def consequence_span(identities, n, kind="b", cap=None):
             reducer.insert(poly_to_vec(poly, space.index))
             if reducer.dim >= bound:
                 break
-        # close under variable permutations: adjacent transpositions
-        # generate S_d
-        _close(reducer, [lambda v, m=m: {m[i]: c for i, c in v.items()}
-                         for m in space.transposition_maps], bound)
+        _close(reducer, space.transpositions, bound, 0)
         if d < n:
             prev_polys = [vec_to_poly(v, space.basis)
                           for v in reducer.rows()]
@@ -206,26 +225,17 @@ def _kernel_dim(n):
     return mat.nrows - rank, mat
 
 
-def _quotient_gain(w, actions, gap):
-    """Dimension of the smallest subspace that contains w and is closed
-    under ``actions`` (SpanReducer.quotient_map columns), counted up to
-    ``gap``."""
-    if not w:
-        return 0
-    sub = SpanReducer()
-    sub.insert(w)
-
-    def apply(act):
-        def go(x):
-            y = {}
-            for j, c in x.items():
-                for k, a in act[j].items():
-                    y[k] = y.get(k, 0) + c * a
-            return y
-        return go
-
-    _close(sub, [apply(act) for act in actions], gap)
-    return sub.dim
+def _orbit_span(red, v, actions, bound):
+    """The span R of ``red`` grown by v and closed under ``actions``,
+    which generate S_n: span(S_n v) + R, in a new reducer grown at most
+    to ``bound``.  R must be closed already, so only the rows after R's
+    enter the closure; the copy shares R's pivot rows, which are never
+    rewritten."""
+    trial = SpanReducer()
+    trial.pivot_rows = dict(red.pivot_rows)
+    trial.insert(v)
+    _close(trial, actions, bound, red.dim)
+    return trial
 
 
 def new_identities(known, n):
@@ -241,9 +251,8 @@ def new_identities(known, n):
     which is deterministic: in each round every kernel basis vector v is
     scored by its gain, the dimension its orbit adds to the current span R,
     and the first vector of largest gain wins; its residue modulo R is the
-    representative, and its orbit joins R.  The gain is computed in the
-    quotient by R, from the normal form of v and the action of the
-    adjacent transpositions there (see the comment in the loop).
+    representative, and its orbit joins R.  The gain is read off a copy of
+    R grown by v and closed under the adjacent transpositions.
     ``representatives`` lists the winners.  A greedy set need not be a
     smallest one, so ``new_dim`` is an upper bound on the number of new
     generators needed.
@@ -265,43 +274,33 @@ def new_identities(known, n):
     representatives = []
     if cdim < kdim:
         space = _DegreeSpace(n, "b")
-        # one index map over the magmatic basis per variable permutation
         names = _xnames(n)
-        maps = [space.index_map(dict(zip(names, pp)))
-                for pp in itertools.permutations(names)]
+        orbit = [space.action(dict(zip(names, pp)))
+                 for pp in itertools.permutations(names)]
 
         red = SpanReducer()
         for v in cons:
             red.insert(v)
         kb = kernel_basis(mat.transpose())
-        # The span R = red is closed under variable permutations, and
-        # stays so after each orbit insertion.  So a permutation acts on
-        # V/R, and on its normal forms through quotient_map.  The gain of
-        # v, dim(span(S_n v) + R) - dim R, is the dimension of the
-        # S_n-submodule of V/R generated by the class of v, which is the
-        # smallest subspace containing NF(v) closed under the adjacent
-        # transpositions, because they generate S_n.  It is at most
-        # the gap kdim - dim R, as S_n v + R lies in the kernel; so
-        # counting stops at the gap, and a candidate that reaches it
-        # cannot be beaten under the strict first-maximum rule.  A
-        # candidate in R has NF(v) = 0 and gain 0, and is never chosen.
-        # The representative is the winner's residue modulo R, and its
-        # orbit joins R, so the next round starts from span(S_n v) + R.
+        # R = red is closed under variable permutations, and stays so after
+        # each orbit insertion.  A trial lies in the kernel, so one that
+        # reaches kdim ends the round.  A v in the best trial so far (at
+        # first R itself) has S_n v + R inside it, so its gain cannot beat
+        # the best one strictly, and v is skipped.
         while red.dim < kdim:
-            gap = kdim - red.dim
-            actions = [red.quotient_map(t)
-                       for t in space.transposition_maps]
-            best_gain, best = 0, None
+            best, best_trial = None, red
             for v in kb:
-                gain = _quotient_gain(red.normal_form(v), actions, gap)
-                if gain > best_gain:
-                    best_gain, best = gain, v
-                    if gain == gap:
+                if best_trial.contains(v):
+                    continue
+                trial = _orbit_span(red, v, space.transpositions, kdim)
+                if trial.dim > best_trial.dim:
+                    best, best_trial = v, trial
+                    if trial.dim == kdim:
                         break
             residue = red.residue(best)
             representatives.append(vec_to_poly(residue, space.basis))
-            for m in maps:
-                red.insert({m[i]: c for i, c in residue.items()})
+            for act in orbit:
+                red.insert(act(residue))
     return {"kernel_dim": kdim, "consequence_dim": cdim,
             "new_dim": len(representatives),
             "representatives": representatives}
@@ -316,13 +315,9 @@ def tideal_membership(target, defining, kind="m"):
     the same product kind ('m' for ordinary-product varieties such as
     bicommutative algebras).
     """
-    for t in target.terms:
-        if any(c != 1 for c in term_vars(t).values()):
-            raise ValueError("target is not multilinear; polarize it first")
-    n = len(target.variables())
+    n, poly = _multilinear_at_x(target, kind)
     index = {t: i for i, t in enumerate(magmatic_basis(n, kind))}
-    # a term of the other or of mixed node kinds is outside the index
-    vec = poly_to_vec(_as_poly_at_x(target), index)
+    vec = poly_to_vec(poly, index)
     red = SpanReducer()
     for v in consequence_span(defining, n, kind=kind):
         red.insert(v)

@@ -10,7 +10,7 @@ pivot), so equal inputs always give identical output.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def clean_vec(v):
@@ -321,58 +321,6 @@ class SpanReducer:
                 return v
             _cancel(v, c, row)
         return v
-
-    def _normal_form(self, v, pivots):
-        """Cancel the integer row v in place at each of the sorted
-        ``pivots``, lowest first; return the positive factor by which the
-        cancellations multiplied v."""
-        scale = 1
-        for c in pivots:
-            if c in v:
-                scale *= _cancel(v, c, self.pivot_rows[c])
-        return scale
-
-    def normal_form(self, v):
-        """Normal form of v modulo the span, up to a nonzero scale.
-
-        Unlike residue(), which stops at the first non-pivot column, v is
-        cancelled at every pivot column, lowest first.  A pivot row has
-        no entries left of its pivot, so a cancelled column stays zero:
-        the result is congruent to a multiple of v and zero on every
-        pivot column.  It is the only such vector, because a nonzero
-        vector of the span is nonzero at its lowest pivot.  So up to
-        scale this is a linear map with the span as kernel, read in the
-        free (non-pivot) columns; it is zero exactly when contains(v).
-        """
-        v = _to_int_row(v)
-        self._normal_form(v, sorted(self.pivot_rows))
-        return v
-
-    def quotient_map(self, colmap):
-        """The map induced on the quotient by a column permutation.
-
-        ``colmap[j]`` is the column that column j goes to, and the map
-        must send the span into itself.  Returns ``{j: column}`` for the
-        free columns j, where column j is s * NF(e_colmap[j]) in free
-        columns, with one positive integer s for all j.  So the sum of
-        x_j * column j over the free columns is s times the image of x
-        for any x in free columns.  Each column's normal form comes with
-        its own fraction-free factor, and they are brought to their
-        least common multiple: with per-column factors the sum would not
-        be a multiple of the image.
-        """
-        pivots = sorted(self.pivot_rows)
-        cols, scales = {}, {}
-        for j, t in enumerate(colmap):
-            if j not in self.pivot_rows:
-                cols[j] = {t: 1}
-                scales[j] = self._normal_form(cols[j], pivots)
-        common = lcm(*scales.values())
-        for j, col in cols.items():
-            m = common // scales[j]
-            if m != 1:
-                cols[j] = {k: c * m for k, c in col.items()}
-        return cols
 
     def residue(self, v):
         """Reduce a copy of v against the current span (integerized)."""

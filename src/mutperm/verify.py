@@ -63,8 +63,8 @@ def check_degree3_expansions():
 
 
 def check_relations_suite():
-    res = check_relations(samples=20, seed=7)
-    return res["passed"], (f"6 relations x 21 cases"
+    res = check_relations()
+    return res["passed"], ("6 relations at (x1, x2, x3), so at every triple"
                            if res["passed"] else str(res["failures"][:2]))
 
 

@@ -61,6 +61,17 @@ def test_identities_unknown_template(capsys):
     assert code == 2 and "unknown template" in err
 
 
+@pytest.mark.parametrize("known,reason", [
+    ("jordan", "identity jordan is not multilinear; polarize it first"),
+    ("f,crit36", "identity crit36 has product nodes; this scan uses brackets"),
+])
+def test_identities_unusable_known_identity_exits_2(capsys, known, reason):
+    code, out, err = run(capsys, "identities", "--degree", "4",
+                         "--known", known)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [f"error: {reason}"]
+
+
 def test_identities_oversized_degree_exits_2(capsys):
     code, out, err = run(capsys, "identities", "--degree", "9")
     assert code == 2 and out == ""

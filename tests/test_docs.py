@@ -3,17 +3,23 @@
 Each ```python block of README.md is run as a doctest, and each line of
 the command-line block is parsed by the CLI's argument parser.  Plain
 ``python -m doctest README.md`` cannot do this: it reads the closing
-fence after an example's expected output as part of that output.
+fence after an example's expected output as part of that output.  Every
+backticked dotted name of the package that the README mentions exists.
 """
 
 import doctest
+import functools
+import importlib
+import pkgutil
 import re
 import runpy
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import mutperm
 from mutperm.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +50,39 @@ def test_readme_command_lines_parse():
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         build_parser().parse_args(argv)
+
+
+def package_heads():
+    """The names a README dotted name may start with: ``mutperm``, its
+    modules, and the classes, functions and constants they hold."""
+    heads = {"mutperm": mutperm}
+    for info in pkgutil.iter_modules(mutperm.__path__):
+        module = importlib.import_module(f"mutperm.{info.name}")
+        heads[info.name] = module
+        for attr, value in vars(module).items():
+            if not (attr.startswith("__")
+                    or isinstance(value, types.ModuleType)):
+                heads.setdefault(attr, value)
+    return heads
+
+
+def test_readme_dotted_names_exist():
+    """A backticked name such as `findim.MAX_DIM` or
+    `SpanReducer.insert` whose head is a package name resolves; other
+    tokens (file names, flags, `fractions.Fraction`) are skipped."""
+    text = (ROOT / "README.md").read_text()
+    heads = package_heads()
+    names = [m.group(1) for m in re.finditer(r"`(\w+(?:\.\w+)+)", text)
+             if m.group(1).split(".")[0] in heads]
+    assert len(names) >= 10
+    missing = []
+    for name in names:
+        head, *rest = name.split(".")
+        try:
+            functools.reduce(getattr, rest, heads[head])
+        except AttributeError:
+            missing.append(name)
+    assert not missing
 
 
 @pytest.mark.parametrize("demo", DEMOS)

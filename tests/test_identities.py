@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mutperm.identities import (_DegreeSpace, _as_poly_at_x,
-                                _canonical_degree, _lift_once,
-                                _quotient_gain, consequence_span,
+from mutperm.identities import (_DegreeSpace, _as_poly_at_x, _lift_once,
+                                _orbit_span, consequence_span,
                                 expansion_matrix, identity_kernel,
                                 magmatic_basis, new_identities, poly_to_vec,
                                 tideal_membership, vec_to_poly)
@@ -125,8 +124,7 @@ def fixed_point_consequence_span(identities, n):
     """Oracle: consequence_span with the permutation closure done by
     re-applying every transposition to every pivot row until a whole pass
     adds nothing."""
-    items = [(_canonical_degree(it), _as_poly_at_x(it))
-             for it in identities]
+    items = [(len(p.variables()), p) for p in map(_as_poly_at_x, identities)]
     prev_polys = []
     for d in range(min(deg for deg, _ in items), n + 1):
         space = _DegreeSpace(d, "b")
@@ -140,8 +138,8 @@ def fixed_point_consequence_span(identities, n):
         while grew:
             grew = False
             for vec in list(reducer.pivot_rows.values()):
-                for perm in space.transposition_maps:
-                    if reducer.insert({perm[i]: c for i, c in vec.items()}):
+                for act in space.transpositions:
+                    if reducer.insert(act(vec)):
                         grew = True
         prev_polys = [vec_to_poly(v, space.basis) for v in reducer.rows()]
     return reducer.rows()
@@ -246,15 +244,13 @@ def trial_loop_new_identities(known, n):
     return report, rounds, kb
 
 
-def quotient_gains(pivot_rows, kb, n):
+def orbit_gains(pivot_rows, kb, n):
     """Every candidate's gain as new_identities scores it, from the span
     with the given pivot rows."""
     red = SpanReducer()
     red.pivot_rows = dict(pivot_rows)
-    actions = [red.quotient_map(t)
-               for t in _DegreeSpace(n, "b").transposition_maps]
-    gap = len(kb) - red.dim
-    return [_quotient_gain(red.normal_form(v), actions, gap) for v in kb]
+    actions = _DegreeSpace(n, "b").transpositions
+    return [_orbit_span(red, v, actions, len(kb)).dim - red.dim for v in kb]
 
 
 def seeded_known(rng, names):
@@ -290,7 +286,7 @@ def test_new_identities_against_trial_loop_with_gains(names, n):
     want, rounds, kb = trial_loop_new_identities(known, n)
     assert_same_report(new_identities(known, n), want)
     for pivot_rows, gains in rounds:
-        assert quotient_gains(pivot_rows, kb, n) == gains
+        assert orbit_gains(pivot_rows, kb, n) == gains
 
 
 @pytest.mark.parametrize("names", [("f",), ("wa",)])
@@ -308,7 +304,7 @@ def test_new_identities_against_trial_loop_seeded(seed):
         want, rounds, kb = trial_loop_new_identities(known, n)
         assert_same_report(new_identities(known, n), want)
         for pivot_rows, gains in rounds[:1]:
-            assert quotient_gains(pivot_rows, kb, n) == gains
+            assert orbit_gains(pivot_rows, kb, n) == gains
 
 
 def test_new_identities_rejects_non_identity():
