@@ -17,7 +17,8 @@ from fractions import Fraction
 from . import findim, speciality, verify
 from .identities import magmatic_basis, new_identities
 from .mutation import expand
-from .terms import TEMPLATES, ParseError, TermPoly, parse, render
+from .terms import (TEMPLATES, ParseError, TermPoly, _multidegree, parse,
+                    render)
 from .verify import permutation_matrix_deg3
 
 
@@ -30,31 +31,30 @@ def _report(command, inputs, results, t0):
             "timing_seconds": round(time.monotonic() - t0, 3)}
 
 
-def _emit(report, fmt, out=None):
-    out = out or sys.stdout
+def _emit(report, fmt):
     if fmt == "record":
-        print(json.dumps(report, indent=1, default=str), file=out)
+        print(json.dumps(report, indent=1, default=str))
         return
-    print(f"# {report['command']}", file=out)
+    print(f"# {report['command']}")
     for k, v in report["inputs"].items():
-        print(f"  {k}: {v}", file=out)
-    _emit_value(report["results"], out, indent="")
-    print(f"  [{report['timing_seconds']}s]", file=out)
+        print(f"  {k}: {v}")
+    _emit_value(report["results"], indent="")
+    print(f"  [{report['timing_seconds']}s]")
 
 
-def _emit_value(value, out, indent):
+def _emit_value(value, indent):
     if isinstance(value, dict):
         for k, v in value.items():
             if isinstance(v, (dict, list)) and v:
-                print(f"{indent}{k}:", file=out)
-                _emit_value(v, out, indent + "  ")
+                print(f"{indent}{k}:")
+                _emit_value(v, indent + "  ")
             else:
-                print(f"{indent}{k}: {v}", file=out)
+                print(f"{indent}{k}: {v}")
     elif isinstance(value, list):
         for v in value:
-            _emit_value(v, out, indent)
+            _emit_value(v, indent)
     else:
-        print(f"{indent}{value}", file=out)
+        print(f"{indent}{value}")
 
 
 def cmd_expand(args):
@@ -110,7 +110,7 @@ def cmd_cohn(args):
     multidegree = req.multidegree
     if args.target:
         target = parse(args.target)
-        multidegree = target.variables()
+        multidegree = _multidegree(target, "target")
     req = speciality.IdealComponentRequest(gens, multidegree)
     rep = speciality.cohn_check(req, target)
     equations = []

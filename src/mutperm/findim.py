@@ -158,7 +158,7 @@ def load_algebra(source):
     return a
 
 
-def dump_algebra(a, fp=None):
+def dump_algebra(a):
     """Serialize to the JSON algebra format (sorted entries, lossless)."""
     entries = []
     for i in range(a.dim):
@@ -168,10 +168,7 @@ def dump_algebra(a, fp=None):
                 if c:
                     entries.append([i + 1, j + 1, k + 1, str(c)])
     doc = {"dim": a.dim, "names": a.names, "table": entries}
-    if fp is None:
-        return json.dumps(doc, indent=1)
-    json.dump(doc, fp, indent=1)
-    return None
+    return json.dumps(doc, indent=1)
 
 
 def evaluate(a, poly, assignment, p=None, q=None):
@@ -442,8 +439,8 @@ def lie_admissible_criterion(a):
     return satisfies(a, TEMPLATES["crit36"])
 
 
-def random_vector(rng, dim, lo=-2, hi=2):
-    return [Fraction(rng.randint(lo, hi)) for _ in range(dim)]
+def random_vector(rng, dim):
+    return [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
 
 
 def change_of_basis(a, s):

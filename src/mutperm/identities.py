@@ -18,18 +18,8 @@ from collections import deque
 from .linalg import Matrix, SpanReducer, kernel_basis, rref
 from .mutation import _expander, bracket_monomials, expand
 from .perm import monomial_index
-from .terms import (Template, TermPoly, _combine, rename_leaves, substitute,
-                    term_vars)
-
-
-def _magmatic_count(n):
-    """n! * Catalan(n - 1), the size of the degree-n magmatic basis."""
-    return math.factorial(n) * math.comb(2 * n - 2, n - 1) // n
-
-
-# Most magmatic monomials one degree may enumerate: 30,240, the count at
-# degree 6 (degree 7 has 665,280).
-MAX_MAGMATIC = _magmatic_count(6)
+from .terms import (MAX_MAGMATIC, Template, TermPoly, _combine,
+                    _magmatic_count, rename_leaves, substitute, term_vars)
 
 
 def _check_degree(n):

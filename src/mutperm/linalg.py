@@ -31,7 +31,7 @@ class Combination:
     """Finite rational linear combination: dict key -> nonzero coefficient.
 
     The constructor and ``scale`` store an integral coefficient as an int
-    and any other as a Fraction; sums of int coefficients stay int.
+    and any other as a Fraction; sums and products stay int on ints.
     Since ``Fraction(2) == 2`` and the two hash alike, equality and
     rendering do not depend on which of the two is stored.  Combinations
     of different subclasses never compare equal.
@@ -64,24 +64,36 @@ class Combination:
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
 
-    def __add__(self, other):
+    def _merge(self, other, sign):
+        """self + sign * other, sign being 1 or -1."""
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
+            nc = out.get(m, 0) + sign * c
             if nc:
                 out[m] = nc
             else:
                 out.pop(m, None)
         return self._new(out)
 
+    def __add__(self, other):
+        return self._merge(other, 1)
+
     def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) - c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
+        return self._merge(other, -1)
+
+    def product(self, other, key):
+        """Bilinear product: each term s of self times each term t of
+        other is added under ``key(s, t)``, entries that cancel are
+        dropped, and the result has the receiver's type."""
+        out = {}
+        for s, c1 in self.terms.items():
+            for t, c2 in other.terms.items():
+                k = key(s, t)
+                nc = out.get(k, 0) + c1 * c2
+                if nc:
+                    out[k] = nc
+                else:
+                    out.pop(k, None)
         return self._new(out)
 
     def __neg__(self):

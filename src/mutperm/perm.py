@@ -105,18 +105,7 @@ class Elt(Combination):
 
     def __mul__(self, other):
         if isinstance(other, Elt):
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = mono_mul(m1, m2)
-                    nc = out.get(m, 0) + c1 * c2
-                    if nc:
-                        out[m] = nc
-                    else:
-                        out.pop(m, None)
-            r = Elt.__new__(Elt)
-            r.terms = out
-            return r
+            return self.product(other, mono_mul)
         return self.scale(other)
 
     def monomials(self):

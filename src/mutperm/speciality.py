@@ -23,16 +23,17 @@ from .identities import MAX_MAGMATIC
 from .linalg import Inconsistent, Matrix, SpanReducer, solve, sparse_vec
 from .mutation import expand
 from .perm import Elt, monomial_index, param_degree, x_multidegree
-from .terms import TermPoly, bnode, render
+from .terms import TermPoly, _multidegree, bnode, render
 
 
 class IdealComponentRequest:
     """Bracket generators plus the target x-multidegree.
 
     ``generators`` are bracket polynomials (usually single bracket words);
-    ``multidegree`` maps variable name -> multiplicity.  Each generator's
-    multidegree must be dominated by the target, and the request may span
-    at most MAX_MAGMATIC bracket words, counted before any is built.
+    ``multidegree`` maps variable name -> multiplicity.  Each generator
+    must be nonzero and multihomogeneous, with a multidegree dominated by
+    the target, and the request may span at most MAX_MAGMATIC bracket
+    words, counted before any is built.
     """
 
     def __init__(self, generators, multidegree):
@@ -40,7 +41,9 @@ class IdealComponentRequest:
         self.multidegree = Counter(multidegree)
         words = 0
         for g in self.generators:
-            gv = Counter(g.variables())
+            if not g:
+                raise ValueError("a generator is 0 and spans no bracket words")
+            gv = _multidegree(g, "generator")
             if gv - self.multidegree:
                 raise ValueError(
                     f"generator multidegree {dict(gv)} not dominated by "
@@ -64,7 +67,7 @@ def mutation_ideal_words(req):
         while frontier:
             nxt = []
             for w in frontier:
-                missing = req.multidegree - Counter(w.variables())
+                missing = req.multidegree - _multidegree(w, "word")
                 if not missing:
                     out.append(w)
                     continue
@@ -158,7 +161,7 @@ def cohn_check(req, target):
     The verdict is "exceptional image certified" exactly when the target
     is in the perm-side span but not the mutation-side span.
     """
-    if Counter(target.variables()) != req.multidegree:
+    if _multidegree(target, "target") != req.multidegree:
         raise ValueError("target multidegree differs from the request")
     t_elt = expand(target)
 

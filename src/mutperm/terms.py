@@ -16,7 +16,9 @@ algebra, not its mutation.
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .linalg import Combination, signed_sum
@@ -94,19 +96,35 @@ class TermPoly(Combination):
     __repr__ = __str__
 
 
+def _multidegree(poly, what):
+    """The multidegree every term of ``poly`` has, as a Counter; raises
+    ValueError naming ``what`` if two terms have different ones."""
+    degrees = [term_vars(t) for t in poly.terms]
+    if any(d != degrees[0] for d in degrees):
+        raise ValueError(f"{what} {render(poly)} is not multihomogeneous")
+    return Counter(degrees[0] if degrees else {})
+
+
+def _magmatic_count(n):
+    """n! * Catalan(n - 1), the size of the degree-n magmatic basis."""
+    return math.factorial(n) * math.comb(2 * n - 2, n - 1) // n
+
+
+# Most magmatic monomials one degree may enumerate, and most terms one
+# product of polynomials may build: 30,240, the count at degree 6 (degree
+# 7 has 665,280).
+MAX_MAGMATIC = _magmatic_count(6)
+
+
 def _combine(kind, a, b):
-    out = {}
-    for t1, c1 in a.terms.items():
-        for t2, c2 in b.terms.items():
-            t = (kind, t1, t2)
-            nc = out.get(t, 0) + c1 * c2
-            if nc:
-                out[t] = nc
-            else:
-                out.pop(t, None)
-    r = TermPoly.__new__(TermPoly)
-    r.terms = out
-    return r
+    """The node ``kind`` of two polynomials, bilinearly; refuses a
+    product of more than MAX_MAGMATIC terms before building any."""
+    size = len(a.terms) * len(b.terms)
+    if size > MAX_MAGMATIC:
+        raise ValueError(f"a product of {len(a.terms):,} by "
+                         f"{len(b.terms):,} terms has {size:,} terms, "
+                         f"above the ceiling of {MAX_MAGMATIC:,}")
+    return a.product(b, lambda s, t: (kind, s, t))
 
 
 def bnode(a, b):
@@ -169,16 +187,7 @@ def multilinearize(poly):
     characteristic 0) is replaced by v#1..v#k, summed over all k!
     assignments of the copies to its occurrences.
     """
-    if not poly:
-        return poly
-    counts = None
-    for t in poly.terms:
-        tv = term_vars(t)
-        if counts is None:
-            counts = tv
-        elif tv != counts:
-            raise ValueError("polynomial is not multihomogeneous; "
-                             "cannot polarize uniformly")
+    counts = _multidegree(poly, "polynomial")
     for name in sorted(counts):
         k = counts[name]
         if k <= 1:

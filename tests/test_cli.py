@@ -1,11 +1,19 @@
 import json
+import math
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import mutperm
 from mutperm.cli import main
 from mutperm.verify import _prop35
 from mutperm.findim import dump_algebra
+from mutperm.terms import parse, term_vars
 
 
 @pytest.fixture
@@ -335,3 +343,59 @@ def test_identities_degree4_record_is_pinned(capsys):
                        "--degree", "4", "--known", "f,wa,hbar,ibar")
     assert code == 0
     assert json.loads(out)["results"] == DEGREE4_RESULTS
+
+
+def _limit_memory():
+    # about 1 GB of address space, so that a runaway request fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_child(*argv):
+    """The CLI in a child process, with a time limit and a memory limit:
+    a request that regresses to a hang fails the test in seconds."""
+    src = str(Path(mutperm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "mutperm.cli", *argv],
+                          capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=_limit_memory)
+
+
+def _balanced(k):
+    """A balanced bracket of k copies of (x1+x2+x3+x4): 4^k trees."""
+    if k == 1:
+        return "(x1+x2+x3+x4)"
+    return f"<{_balanced(k // 2)},{_balanced(k - k // 2)}>"
+
+
+SUM10 = "+".join(f"x{i}" for i in range(1, 11))
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", _balanced(8)),
+    ("expand", f"crit36({SUM10},{SUM10},{SUM10},{SUM10})"),
+    ("cohn", "--generators", "0", "--target", "<x1,x2>"),
+    ("cohn", "--generators", "<x1,x2>-<x1,x2>", "--target", "<<x1,x2>,x3>"),
+    ("cohn", "--target", "<<x2,x3>,<x1,x4>>+<x1,x2>"),
+], ids=["balanced-8", "crit36-of-10-term-sums", "zero-generator",
+        "cancelling-generator", "target-not-multihomogeneous"])
+def test_hostile_request_exits_2_in_a_child(argv):
+    r = run_child(*argv)
+    assert r.returncode == 2 and r.stdout == ""
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# m missing letters with multiplicities c_x give 2^m m!/prod c_x! words
+@pytest.mark.parametrize("argv,words", [
+    (("--generators", "<x2,x3>-<x3,x2>"), 2 ** 2 * math.factorial(2)),
+    (("--generators", "<<x2,x3>,x4>", "<<x2,x3>,x1>", "--target",
+      "<<x2,x3>,<x1,x4>>-<<x3,x2>,<x1,x4>>"), 2 * 2),
+])
+def test_cohn_reads_the_multidegree_of_one_term(argv, words):
+    r = run_child("--format", "record", "cohn", *argv)
+    assert r.returncode == 0, r.stderr
+    got = json.loads(r.stdout)["results"]["unknown_words"]
+    assert len(got) == words
+    once = dict.fromkeys(["x1", "x2", "x3", "x4"], 1)
+    assert all(term_vars(t) == once for w in got for t in parse(w).terms)

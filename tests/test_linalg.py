@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
 
-from mutperm.linalg import (Inconsistent, Matrix, SpanReducer, clean_vec,
-                            kernel_basis, rref, solve, sparse_vec)
+from mutperm.linalg import (Combination, Inconsistent, Matrix, SpanReducer,
+                            clean_vec, kernel_basis, rref, solve, sparse_vec)
+from mutperm.terms import TermPoly
 
 
 def dense_rank(rows, ncols):
@@ -319,3 +320,15 @@ def test_int_matrix_gives_the_fraction_results_without_floats():
         else:
             assert got == want and no_floats([got])
 
+
+
+def test_product_files_pairs_under_their_key_and_drops_cancellations():
+    # (x1 + x2)(x1 - x2) under a commutative key: the cross terms cancel
+    a = TermPoly.var("x1") + TermPoly.var("x2")
+    b = TermPoly.var("x1") - TermPoly.var("x2")
+    got = a.product(b, lambda s, t: tuple(sorted((s[1], t[1]))))
+    assert type(got) is TermPoly
+    assert got.terms == {("x1", "x1"): 1, ("x2", "x2"): -1}
+    half = Combination({"u": Fraction(1, 2)})
+    assert half.product(half, str.__add__).terms == {"uu": Fraction(1, 4)}
+    assert not a.product(Combination(), str.__add__)
