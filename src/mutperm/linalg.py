@@ -144,15 +144,6 @@ class Matrix:
                 cols[j][i] = c
         return Matrix(cols, self.nrows)
 
-    def mul_vec(self, v):
-        """Matrix times column vector, result as row-index -> value."""
-        out = {}
-        for i, row in enumerate(self.rows):
-            s = sum((c * v[k] for k, c in row.items() if k in v), Fraction(0))
-            if s:
-                out[i] = s
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ncols == other.ncols
                 and self.rows == other.rows)

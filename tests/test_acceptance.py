@@ -10,7 +10,7 @@ BUDGETS = {
     "degree3-expansions": 1,
     "bracket-relations": 1,
     "mutation-elements": 20,
-    "basis-B": 10,
+    "basis-B": 2,
     "vanishing-identities": 5,
     "degree3-identities": 10,
     "counterexample-algebra": 1,
@@ -19,6 +19,35 @@ BUDGETS = {
     "cohn-certificate": 5,
     "lie-admissibility": 5,
     "infrastructure": 60,
+}
+
+DETAILS = {
+    "degree3-expansions":
+        "3 expansions match after canonical rendering",
+    "bracket-relations":
+        "6 relations at (x1, x2, x3), so at every triple",
+    "mutation-elements":
+        "10766 spanning-set elements confirmed",
+    "basis-B":
+        "B verified for n=3..5, dims 7/13/21",
+    "vanishing-identities":
+        "11 identities expand to 0; circ = (p+q)[x,y]",
+    "degree3-identities":
+        "rank 5, kernel 5, consequences close it, nothing new",
+    "counterexample-algebra":
+        "satisfies f, fails wa at (e1,e1,e3) = -e1; ftilde decomposes",
+    "degree4-new-identities":
+        "2 new generators at degree 4 (span 92 of 107); all six close the "
+        "kernel",
+    "degree5-closure":
+        "six identities span the full degree-5 kernel (dim 1659)",
+    "cohn-certificate":
+        "12-equation system inconsistent; exceptional image certified",
+    "lie-admissibility":
+        "20 algebras: every mutation Lie-admissible (proved on 391 lattice "
+        "mutations, degree <= 2); criterion follows from bicommutativity",
+    "infrastructure":
+        "perm dims, magmatic counts, 100 random rref checks",
 }
 
 CRITERIA = [
@@ -52,6 +81,7 @@ def _run(name, label):
     status = "PASS" if result["status"] == "passed" else "FAIL"
     print(f"{status} {label} [{result['seconds']}s] -- {result['detail']}")
     assert result["status"] == "passed", result["detail"]
+    assert result["detail"] == DETAILS[name]
     assert result["seconds"] <= BUDGETS[name], \
         f"{name} exceeded {BUDGETS[name]}s budget ({result['seconds']}s)"
 

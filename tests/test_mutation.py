@@ -1,13 +1,14 @@
+from collections import Counter
 from math import comb
 
 import pytest
 
 from mutperm import mutation
-from mutperm.linalg import SpanReducer
+from mutperm.linalg import SpanReducer, sparse_vec
 from mutperm.mutation import (BSetElement, ComponentSpan, bracket_monomials,
                               check_relations, enumerate_B, expand,
                               is_mutation_element, tree_shapes, verify_basis_B)
-from mutperm.perm import Elt, bracket, commutator, gkey
+from mutperm.perm import Elt, bracket, commutator, gkey, x_multidegree
 from mutperm.terms import TermPoly, parse
 
 
@@ -182,17 +183,60 @@ def test_verify_basis_B_small():
                        "multilinear_dim": dim}, (n_vars, degree)
 
 
+def _brackets_stay_in_B(n_vars, degree):
+    """Oracle: the bracket of every pair of B elements with combined
+    x-degree <= degree lies in the span of B at the summed multidegree."""
+    by_mdeg = {}
+    for b in enumerate_B(n_vars, degree):
+        mdeg = Counter(x_multidegree(next(iter(b.value.terms))))
+        by_mdeg.setdefault(frozenset(mdeg.items()), []).append(b.value)
+    spans = {}
+    for key, group in by_mdeg.items():
+        red, columns = SpanReducer(), {}
+        for v in group:
+            red.insert(sparse_vec(v.terms, columns))
+        spans[key] = red, columns
+    for k1, group1 in by_mdeg.items():
+        for k2, group2 in by_mdeg.items():
+            key = frozenset((Counter(dict(k1)) + Counter(dict(k2))).items())
+            if sum(c for _, c in key) > degree:
+                continue
+            red, columns = spans[key]
+            for b1 in group1:
+                for b2 in group2:
+                    prod = bracket(b1, b2).terms
+                    if not red.contains(sparse_vec(prod, columns)):
+                        return False
+    return True
+
+
+def test_verify_basis_B_closure_agrees_with_brute_force():
+    for n_vars, degree in [(3, 3), (4, 4), (5, 4)]:
+        assert _brackets_stay_in_B(n_vars, degree)
+        assert verify_basis_B(n_vars, degree)["closed_under_bracket"]
+
+
 def test_verify_basis_B_reports_injected_faults(monkeypatch):
     real = enumerate_B(3, 3)
 
     def report(elements):
         monkeypatch.setattr(mutation, "enumerate_B", lambda n, d: elements)
-        return verify_basis_B(3, 3)
+        rep = verify_basis_B(3, 3)
+        assert verify_basis_B(3, 3, closure_degree=3) == rep
+        with pytest.raises(ValueError):
+            verify_basis_B(3, 3, closure_degree=4)
+        return rep
 
-    for family in ("B1", "B2", "B3"):
+    assert all(report(real).values())
+    for family in ("X", "B1", "B2", "B3"):
         last = max(i for i, b in enumerate(real) if b.family == family)
-        assert not report(real[:last] + real[last + 1:])["spans"], family
+        rep = report(real[:last] + real[last + 1:])
+        assert not rep["spans"], family
+        assert not rep["closed_under_bracket"], family
     assert not report(real + real[-1:])["independent"]
+    last = real[-1]
+    doubled = BSetElement(last.family, last.data, last.value.scale(2))
+    assert not report(real + [doubled])["independent"]
     # A correctly graded element outside the mutation subalgebra: a B3
     # value plus a monomial of its multidegree with a parameter tail.
     b3 = real[-1]
@@ -201,6 +245,7 @@ def test_verify_basis_B_reports_injected_faults(monkeypatch):
     bad = BSetElement("B3", b3.data, b3.value + Elt.monomial(moved))
     rep = report(real + [bad])
     assert rep["independent"] and not rep["spans"]
+    assert not rep["closed_under_bracket"]
 
 
 def test_verify_basis_B_detects_failure():
