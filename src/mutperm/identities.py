@@ -147,29 +147,51 @@ class _DegreeSpace:
         return lambda v: {colmap[i]: c for i, c in v.items()}
 
 
-def _close(red, actions, bound, start):
+def _close(red, transpositions, bound, start):
     """Grow ``red`` to the smallest span that contains it and is closed
-    under ``actions`` (linear maps, as callables on sparse vectors), or
-    until ``red.dim`` reaches ``bound``.  The pivot rows before position
-    ``start`` (in insertion order) must already span a closed subspace.
+    under S_n, or until ``red.dim`` reaches ``bound``.  ``transpositions``
+    must be the adjacent transpositions s_1, ..., s_{n-1} of S_n, in this
+    order, as callables on sparse vectors (``_DegreeSpace.transpositions``).
+    The pivot rows before position ``start`` (in insertion order) must
+    already span a closed subspace.
 
-    A FIFO worklist applies every action once to each row from ``start``
+    A FIFO worklist applies the transpositions to each row from ``start``
     on and to each accepted row; with the closed rows they span the
     result, so it is closed once the queue is empty.  This accepts the
-    same rows in the same order as passes that re-apply every action to
-    every pivot row until a pass adds nothing.  Pivot rows are never
-    rewritten after insertion and pivot_rows iterates in insertion order,
-    so the queue meets rows in the order those passes first visit them; a
-    later visit only re-inserts vectors already in the span, which are
-    rejected without changing any state.
+    same rows in the same order as passes that re-apply every
+    transposition to every pivot row until a pass adds nothing.  Pivot
+    rows are never rewritten after insertion and pivot_rows iterates in
+    insertion order, so the queue meets rows in the order those passes
+    first visit them; a later visit only re-inserts vectors already in
+    the span, which are rejected without changing any state.
+
+    Each queued row r records ``via``: the k of the s_k whose image it
+    was accepted from (its position in ``transpositions``), or None for
+    the rows already in ``red``.  For a row r with ``via`` k, s_j is not
+    applied when j = k or j <= k - 2, because s_j(r) is already in the
+    span.  Proof, by induction on the order in which rows are popped
+    (every image of a processed row is in the span): r was accepted while
+    r' was processed, with g*r = m*s_k(r') - sum c_i*r_i over pivot rows
+    r_i accepted before r.  Each r_i is one of the closed rows before
+    ``start`` or, by FIFO order, was processed before r is popped, so
+    s_j(r_i) is in the span.  For j = k, s_k(s_k(r')) = r'.
+    For j <= k - 2, s_j(s_k(r')) = s_k(s_j(r')) by the Coxeter relations,
+    and s_j(r') was inserted (or skipped) before s_k(r'), so it lies in
+    the span of rows accepted before r, whose s_k images are in the span
+    for the same reason.  Such an insert would be rejected without
+    changing any state, so skipping it accepts exactly the same rows in
+    the same order.
     """
-    queue = deque(itertools.islice(red.pivot_rows.values(), start, None))
+    queue = deque((vec, None) for vec in
+                  itertools.islice(red.pivot_rows.values(), start, None))
     while queue and red.dim < bound:
-        vec = queue.popleft()
-        for act in actions:
+        vec, via = queue.popleft()
+        for j, act in enumerate(transpositions):
+            if via is not None and (j == via or j <= via - 2):
+                continue
             if red.insert(act(vec)):
                 # the accepted row is the newest pivot row
-                queue.append(next(reversed(red.pivot_rows.values())))
+                queue.append((next(reversed(red.pivot_rows.values())), j))
                 if red.dim >= bound:
                     break
 
@@ -215,16 +237,16 @@ def _kernel_dim(n):
     return mat.nrows - rank, mat
 
 
-def _orbit_span(red, v, actions, bound):
-    """The span R of ``red`` grown by v and closed under ``actions``,
-    which generate S_n: span(S_n v) + R, in a new reducer grown at most
-    to ``bound``.  R must be closed already, so only the rows after R's
-    enter the closure; the copy shares R's pivot rows, which are never
-    rewritten."""
+def _orbit_span(red, v, transpositions, bound):
+    """The span R of ``red`` grown by v and closed under S_n, given by its
+    adjacent ``transpositions`` as for ``_close``: span(S_n v) + R, in a
+    new reducer grown at most to ``bound``.  R must be closed already, so
+    only the rows after R's enter the closure; the copy shares R's pivot
+    rows, which are never rewritten."""
     trial = SpanReducer()
     trial.pivot_rows = dict(red.pivot_rows)
     trial.insert(v)
-    _close(trial, actions, bound, red.dim)
+    _close(trial, transpositions, bound, red.dim)
     return trial
 
 
@@ -242,7 +264,9 @@ def new_identities(known, n):
     scored by its gain, the dimension its orbit adds to the current span R,
     and the first vector of largest gain wins; its residue modulo R is the
     representative, and its orbit joins R.  The gain is read off a copy of
-    R grown by v and closed under the adjacent transpositions.
+    R grown by v and closed under the adjacent transpositions; the
+    closure skips each transposition image that the Coxeter relations
+    prove is already in the span (see ``_close``).
     ``representatives`` lists the winners.  A greedy set need not be a
     smallest one, so ``new_dim`` is an upper bound on the number of new
     generators needed.

@@ -145,10 +145,31 @@ def fixed_point_consequence_span(identities, n):
     return reducer.rows()
 
 
-@pytest.mark.parametrize("names,n", [(("f", "wa"), 4), (("f", "conj4b"), 5)])
+# The oracle makes every insert, so equal rows show that the closure
+# skips only inserts that would be rejected.
+@pytest.mark.parametrize("names,n", [
+    (("f", "wa"), 4), (("f", "conj4b"), 5), (("conj4b",), 5),
+    (("hbar", "conj4a"), 5), (("f",), 5)])
 def test_consequence_span_matches_fixed_point_closure(names, n):
     known = [TEMPLATES[name] for name in names]
     assert consequence_span(known, n) == fixed_point_consequence_span(known, n)
+
+
+def test_consequence_span_insert_count(monkeypatch):
+    """The closure skips the transposition images that the Coxeter
+    relations place in the span already; a closure that applies every
+    transposition to every row makes 4,701 inserts here."""
+    calls = []
+    insert = SpanReducer.insert
+
+    def counting(self, v):
+        calls.append(None)
+        return insert(self, v)
+
+    monkeypatch.setattr(SpanReducer, "insert", counting)
+    rows = consequence_span([TEMPLATES["f"], TEMPLATES["conj4b"]], 5)
+    assert len(rows) == 1039
+    assert len(calls) == 3282
 
 
 def test_consequence_span_degree4_frozen_dims():
