@@ -168,26 +168,18 @@ def rref(m):
     """Reduced row echelon form and rank of a Matrix.
 
     The rows are thinned to a basis of their span by a SpanReducer, whose
-    fraction-free echelon rows are then back-substituted, last pivot
-    first, and divided by their pivots.  The RREF of a row space is
-    unique for the fixed column order, so the result is deterministic.
+    back-substituted rows (``reduced_rows``) are divided by their pivots.
+    The RREF of a row space is unique for the fixed column order, so the
+    result is deterministic.
     """
     red = SpanReducer()
     for r in m.rows:
         red.insert(r)
-    pivots = sorted(red.pivot_rows)
-    reduced = {}
-    for i in range(len(pivots) - 1, -1, -1):
-        row = dict(red.pivot_rows[pivots[i]])
-        for c in pivots[i + 1:]:
-            if c in row:
-                _cancel(row, c, reduced[c])
-        reduced[pivots[i]] = _primitive(row)
     rows = []
-    for c in pivots:
-        piv = reduced[c][c]
-        rows.append({k: Fraction(v, piv) for k, v in reduced[c].items()})
-    return Matrix(rows, m.ncols), len(pivots)
+    for row in red.reduced_rows():
+        piv = row[min(row)]
+        rows.append({k: Fraction(v, piv) for k, v in row.items()})
+    return Matrix(rows, m.ncols), len(rows)
 
 
 def kernel_basis(m):
@@ -304,9 +296,9 @@ class SpanReducer:
     """Incremental integer row-echelon span with exact membership tests.
 
     Rows are kept fraction-free (coprime integer entries, positive leading
-    coefficient), one per pivot column.  This is forward echelon only, not
-    RREF; it is the workhorse behind the big consequence-span and
-    spanning-set computations, where full back-elimination is too costly.
+    coefficient), one per pivot column.  Inserts keep forward echelon form
+    only, which is all the big consequence-span computations need;
+    ``reduced_rows`` back-substitutes on demand.
     """
 
     def __init__(self):
@@ -339,6 +331,18 @@ class SpanReducer:
             return False
         self.pivot_rows[min(r)] = r
         return True
+
+    def reduced_rows(self):
+        """Primitive integer rows in pivot order, back-substituted so each
+        is positive at its pivot (its first column) and 0 at the others."""
+        reduced = {}
+        for c in sorted(self.pivot_rows, reverse=True):
+            row = dict(self.pivot_rows[c])
+            for d in reversed(reduced):
+                if d in row:
+                    _cancel(row, d, reduced[d])
+            reduced[c] = _primitive(row)
+        return list(reversed(reduced.values()))
 
     def rows(self):
         """Echelon rows in pivot order, as Fraction dicts."""

@@ -180,23 +180,26 @@ def _component(key, cache):
 
 
 class ComponentSpan:
-    """Lazily grown span of the bracket expansions at one multidegree.
+    """Lazily grown span S_m of the bracket expansions at multidegree m.
 
-    The span is built from smaller components by bilinearity.  A bracket
-    monomial of degree >= 2 is <u, v> with u, v bracket monomials whose
-    multidegrees m1, m2 are nonzero and add up to this one, m.  For a
-    fixed ordered split (m1, m2) the bracket is bilinear, so the span of
-    all such <u, v> is the span of <a, b> with a running over a basis of
-    the component at m1 and b over a basis of the component at m2.  Hence
-    the component at m is spanned by these products over all ordered
-    splits; the component of a single letter x is spanned by x.
+    A bracket monomial of degree >= 2 is <u, v> with u, v bracket
+    monomials whose nonzero multidegrees m1, m2 add up to m.  The bracket
+    is bilinear, so S_m is spanned by <a, b> over all ordered splits
+    (m1, m2), with a running over any basis of S_m1 and b over any basis
+    of S_m2; the component of a single letter x is spanned by x.
+    Sub-components are grown completely, one per multiplicity pattern:
+    S_m1 gets the basis of m1's canonical pattern (``_canonical``) renamed
+    back.  An injective renaming of x-generators extends to an automorphism
+    of the free perm algebra that fixes p and q and commutes with the
+    bracket, so it maps the bracket monomials and any basis of S_m onto
+    those of the renamed component.  Canonical components are memoised in
+    ``_cache`` by key (``is_mutation_element`` passes its own cache).  The
+    component itself grows only until a target is covered: products are
+    inserted in chunks of 16 and the target is checked after each chunk.
 
-    The basis of a component is the list of its elements whose insert was
-    accepted.  Sub-components are grown completely and memoised in
-    ``_cache`` by multidegree key (``is_mutation_element`` passes its own
-    cache, so one dict holds both).  The component itself is grown only
-    until a target is covered: products are inserted in chunks of 16 and
-    the target is checked after each chunk.
+    ``full_basis()`` is reduced (``SpanReducer.reduced_rows``): no element
+    is nonzero at another's pivot monomial, so each has at most 1 +
+    (monomials - rank) terms and the brackets built on it stay cheap.
     """
 
     def __init__(self, multidegree, _cache=None):
@@ -205,9 +208,16 @@ class ComponentSpan:
             raise ValueError("total degree must be >= 1")
         self._cache = {} if _cache is None else _cache
         self.reducer = SpanReducer()
-        self.basis = []
         self._columns = {}
         self._stream = self._products()
+        self._basis = None
+
+    def _sub_basis(self, multidegree):
+        """The full basis of ``multidegree``'s pattern, renamed back."""
+        ckey, mapping = _canonical(_key(multidegree))
+        back = {v: k for k, v in mapping.items()}
+        return [_rename(b, back)
+                for b in _component(ckey, self._cache).full_basis()]
 
     def _products(self):
         md = self.multidegree
@@ -220,9 +230,8 @@ class ComponentSpan:
             m2 = {n: md[n] - m1[n] for n in names}
             if not any(counts) or not any(m2.values()):
                 continue
-            left = _component(_key(m1), self._cache).full_basis()
-            right = _component(_key(m2), self._cache).full_basis()
-            for a in left:
+            right = self._sub_basis(m2)
+            for a in self._sub_basis(m1):
                 for b in right:
                     yield bracket(a, b)
 
@@ -231,15 +240,18 @@ class ComponentSpan:
         grown = False
         for e in itertools.islice(self._stream, count):
             grown = True
-            if self.reducer.insert(sparse_vec(e.terms, self._columns)):
-                self.basis.append(e)
+            self.reducer.insert(sparse_vec(e.terms, self._columns))
         return grown
 
     def full_basis(self):
-        """A basis of the whole component, growing it to the end."""
-        while self._grow(16):
-            pass
-        return self.basis
+        """A reduced basis of the whole component, growing it to the end."""
+        if self._basis is None:
+            while self._grow(16):
+                pass
+            monos = list(self._columns)
+            self._basis = [Elt({monos[k]: c for k, c in row.items()})
+                           for row in self.reducer.reduced_rows()]
+        return self._basis
 
     def contains(self, e):
         v = sparse_vec(e.terms, self._columns)
@@ -259,14 +271,21 @@ def _split_by_multidegree(e):
 def _canonical(key):
     """Relabel x-variables so a multidegree key becomes a canonical pattern.
 
-    Bracket spans are equivariant under renaming the x-generators, so
-    membership can be tested in one component per multiplicity pattern
-    (largest multiplicity first, ties by original order).  Returns the
+    Bracket spans are equivariant under renaming the x-generators (see
+    ``ComponentSpan``), so one component per multiplicity pattern (largest
+    multiplicity first, ties by original order) serves membership targets
+    renamed to it and sub-components renamed back from it.  Returns the
     canonical key and the renaming that produces it.
     """
     ranked = sorted(key, key=lambda nc: (-nc[1], gkey(nc[0])))
     mapping = {name: _xname(i + 1) for i, (name, _) in enumerate(ranked)}
     return tuple(sorted((mapping[n], c) for n, c in key)), mapping
+
+
+def _rename(e, mapping):
+    """e with each generator g renamed to mapping.get(g, g), injective."""
+    return Elt({normalize_word(mapping.get(g, g) for g in prefix + (tail,)): c
+                for (prefix, tail), c in e.terms.items()})
 
 
 def is_mutation_element(e, _cache=None):
@@ -289,10 +308,7 @@ def is_mutation_element(e, _cache=None):
             if param_degree(m) != xdeg - 1:
                 return False
         ckey, mapping = _canonical(key)
-        cpart = Elt({normalize_word(mapping.get(g, g)
-                                    for g in prefix + (tail,)): c
-                     for (prefix, tail), c in part.terms.items()})
-        if not _component(ckey, cache).contains(cpart):
+        if not _component(ckey, cache).contains(_rename(part, mapping)):
             return False
     return True
 

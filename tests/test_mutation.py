@@ -8,7 +8,8 @@ from mutperm.linalg import SpanReducer, sparse_vec
 from mutperm.mutation import (BSetElement, ComponentSpan, bracket_monomials,
                               check_relations, enumerate_B, expand,
                               is_mutation_element, tree_shapes, verify_basis_B)
-from mutperm.perm import Elt, bracket, commutator, gkey, x_multidegree
+from mutperm.perm import (Elt, bracket, commutator, gkey, normalize_word,
+                          x_multidegree)
 from mutperm.terms import TermPoly, parse
 
 
@@ -144,19 +145,34 @@ def _expanded_component(multidegree):
     return [expand(TermPoly.term(t)) for t in bracket_monomials(multidegree)]
 
 
+def _assert_reduced(span):
+    """No element of the full basis is nonzero at another's pivot."""
+    basis = span.full_basis()
+    pivots = [min(b.terms, key=span._columns.get) for b in basis]
+    for i, b in enumerate(basis):
+        for j, pivot in enumerate(pivots):
+            assert (pivot in b.terms) == (i == j)
+
+
 def test_component_span_matches_expanded_monomials():
+    # Each pattern on x1, x2, ... and on relabelled letters x(2k-1), ...,
+    # x3, x1: a component at a non-canonical key is built from the
+    # renamed bases of canonical sub-components.
     patterns = [p for n in range(1, 6) for p in _patterns(n)]
     assert len(patterns) == 18
     for pattern in patterns:
-        md = {f"x{i + 1}": c for i, c in enumerate(pattern)}
-        expansions = _expanded_component(md)
-        columns, oracle = {}, SpanReducer()
-        for e in expansions:
-            oracle.insert({columns.setdefault(m, len(columns)): c
-                           for m, c in e.terms.items()})
-        span = ComponentSpan(md)
-        assert len(span.full_basis()) == oracle.dim, pattern
-        assert all(span.contains(e) for e in expansions), pattern
+        k = len(pattern)
+        for names in ([f"x{i + 1}" for i in range(k)],
+                      [f"x{2 * (k - i) - 1}" for i in range(k)]):
+            md = dict(zip(names, pattern))
+            expansions = _expanded_component(md)
+            columns, oracle = {}, SpanReducer()
+            for e in expansions:
+                oracle.insert(sparse_vec(e.terms, columns))
+            span = ComponentSpan(md)
+            assert len(span.full_basis()) == oracle.dim, md
+            assert all(span.contains(e) for e in expansions), md
+            _assert_reduced(span)
 
 
 def test_partial_span_grows_fully_as_a_subcomponent():
@@ -172,7 +188,30 @@ def test_partial_span_grows_fully_as_a_subcomponent():
     assert is_mutation_element(deg5, cache)
     assert not is_mutation_element(deg5 + Elt.gen("p") * Elt.gen("q")
                                    * x1 * x2 * x3 * x4 * x5, cache)
-    assert cache[ml4].reducer.dim == len(cache[ml4].basis) == 13
+    assert cache[ml4].reducer.dim == len(cache[ml4].full_basis()) == 13
+
+
+def test_membership_insert_count(monkeypatch):
+    """A multilinear degree-6 non-member grows every sub-component.  They
+    come from one canonical component per multiplicity pattern, so 75
+    rows are accepted, the target's 31 included; building each of the 62
+    proper sub-components on its own letters makes 5,948 inserts here
+    (528 accepted)."""
+    calls = []
+    insert = SpanReducer.insert
+
+    def counting(self, v):
+        calls.append(insert(self, v))
+        return calls[-1]
+
+    monkeypatch.setattr(SpanReducer, "insert", counting)
+    x1, x2, x3, x4, x5, x6 = (Elt.gen(f"x{i}") for i in range(1, 7))
+    member = bracket(bracket(x1, x2),
+                     bracket(bracket(x3, x4), bracket(x5, x6)))
+    tail_p = normalize_word(("x1", "x2", "x3", "x4", "x5", "x6",
+                             "p", "q", "q", "p", "p"))
+    assert not is_mutation_element(member + Elt.monomial(tail_p))
+    assert (len(calls), sum(calls)) == (2517, 75)
 
 
 def test_verify_basis_B_small():
