@@ -15,7 +15,7 @@ import itertools
 import math
 from collections import deque
 
-from .linalg import Matrix, SpanReducer, kernel_basis, rref
+from .linalg import Matrix, SpanReducer, kernel_basis
 from .mutation import _expander, bracket_monomials, expand
 from .perm import monomial_index
 from .terms import (MAX_MAGMATIC, Template, TermPoly, _combine,
@@ -196,16 +196,10 @@ def _close(red, transpositions, bound, start):
                     break
 
 
-def consequence_span(identities, n, kind="b", cap=None):
-    """Span of all multilinear degree-n T-ideal consequences.
-
-    ``identities`` is a list of Templates or multilinear TermPolys.  The
-    result is a list of sparse vectors over the degree-n magmatic basis
-    (use ``magmatic_basis(n, kind)`` for the column meaning).  ``cap``
-    stops growth once the dimension is known to be reached (callers must
-    justify the bound).  Raises ValueError for an identity that is not
-    multilinear or has nodes of another kind.
-    """
+def _consequences(identities, n, kind, cap):
+    """The reducer of the degree-n consequence span (see
+    ``consequence_span``), closed under S_n unless ``cap`` stopped it,
+    and the ``_DegreeSpace`` of its columns."""
     _check_degree(n)
     items = [_multilinear_at_x(it, kind) for it in identities]
     if any(d > n for d, _ in items):
@@ -221,20 +215,29 @@ def consequence_span(identities, n, kind="b", cap=None):
         for poly in prev_polys:
             gens.extend(_lift_once(poly, d - 1, kind))
         for poly in gens:
-            reducer.insert(poly_to_vec(poly, space.index))
             if reducer.dim >= bound:
                 break
+            reducer.insert(poly_to_vec(poly, space.index))
         _close(reducer, space.transpositions, bound, 0)
         if d < n:
-            prev_polys = [vec_to_poly(v, space.basis)
-                          for v in reducer.rows()]
-    return reducer.rows()
+            prev_polys = [vec_to_poly(reducer.pivot_rows[c], space.basis)
+                          for c in sorted(reducer.pivot_rows)]
+    return reducer, space
 
 
-def _kernel_dim(n):
-    mat = expansion_matrix(n)
-    _, rank = rref(mat)
-    return mat.nrows - rank, mat
+def consequence_span(identities, n, kind="b", cap=None):
+    """Span of all multilinear degree-n T-ideal consequences.
+
+    ``identities`` is a list of Templates or multilinear TermPolys.  The
+    result is the span's primitive integer echelon rows in pivot order, as
+    sparse vectors over the degree-n magmatic basis (use
+    ``magmatic_basis(n, kind)`` for the column meaning).  ``cap`` stops
+    growth once the dimension is known to be reached (callers must
+    justify the bound).  Raises ValueError for an identity that is not
+    multilinear or has nodes of another kind.
+    """
+    red, _ = _consequences(identities, n, kind, cap)
+    return [red.pivot_rows[c] for c in sorted(red.pivot_rows)]
 
 
 def _orbit_span(red, v, transpositions, bound):
@@ -279,23 +282,18 @@ def new_identities(known, n):
             name = it.name if isinstance(it, Template) else str(it)
             raise ValueError(f"not an identity: {name}; expansion {val}")
 
-    kdim, mat = _kernel_dim(n)
+    kb = kernel_basis(expansion_matrix(n).transpose())
+    kdim = len(kb)
     # consequences of vanishing identities always lie in the kernel, so
     # the kernel dimension is a sound growth cap
-    cons = consequence_span(known, n, kind="b", cap=kdim)
-    cdim = len(cons)
+    red, space = _consequences(known, n, "b", kdim)
+    cdim = red.dim
 
     representatives = []
     if cdim < kdim:
-        space = _DegreeSpace(n, "b")
         names = _xnames(n)
         orbit = [space.action(dict(zip(names, pp)))
                  for pp in itertools.permutations(names)]
-
-        red = SpanReducer()
-        for v in cons:
-            red.insert(v)
-        kb = kernel_basis(mat.transpose())
         # R = red is closed under variable permutations, and stays so after
         # each orbit insertion.  A trial lies in the kernel, so one that
         # reaches kdim ends the round.  A v in the best trial so far (at
@@ -330,9 +328,5 @@ def tideal_membership(target, defining, kind="m"):
     bicommutative algebras).
     """
     n, poly = _multilinear_at_x(target, kind)
-    index = {t: i for i, t in enumerate(magmatic_basis(n, kind))}
-    vec = poly_to_vec(poly, index)
-    red = SpanReducer()
-    for v in consequence_span(defining, n, kind=kind):
-        red.insert(v)
-    return red.contains(vec)
+    red, space = _consequences(defining, n, kind, None)
+    return red.contains(poly_to_vec(poly, space.index))

@@ -343,8 +343,3 @@ class SpanReducer:
                     _cancel(row, d, reduced[d])
             reduced[c] = _primitive(row)
         return list(reversed(reduced.values()))
-
-    def rows(self):
-        """Echelon rows in pivot order, as Fraction dicts."""
-        return [{k: Fraction(c) for k, c in self.pivot_rows[p].items()}
-                for p in sorted(self.pivot_rows)]

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .linalg import SpanReducer, sparse_vec
-from .perm import (Elt, bracket, commutator, gkey, normalize_word,
-                   param_degree, x_multidegree)
+from .perm import (Elt, bracket, commutator, gkey, is_x, normalize_word,
+                   x_multidegree)
 from .terms import fold
 
 
@@ -216,7 +216,7 @@ class ComponentSpan:
         """The full basis of ``multidegree``'s pattern, renamed back."""
         ckey, mapping = _canonical(_key(multidegree))
         back = {v: k for k, v in mapping.items()}
-        return [_rename(b, back)
+        return [_rename(b.terms, back)
                 for b in _component(ckey, self._cache).full_basis()]
 
     def _products(self):
@@ -261,13 +261,6 @@ class ComponentSpan:
         return True
 
 
-def _split_by_multidegree(e):
-    parts = {}
-    for m, c in e.terms.items():
-        parts.setdefault(_key(x_multidegree(m)), {})[m] = c
-    return {k: Elt(v) for k, v in parts.items()}
-
-
 def _canonical(key):
     """Relabel x-variables so a multidegree key becomes a canonical pattern.
 
@@ -282,10 +275,11 @@ def _canonical(key):
     return tuple(sorted((mapping[n], c) for n, c in key)), mapping
 
 
-def _rename(e, mapping):
-    """e with each generator g renamed to mapping.get(g, g), injective."""
+def _rename(terms, mapping):
+    """The Elt of ``terms`` (monomial -> coefficient) with each generator
+    g renamed to mapping.get(g, g), injective."""
     return Elt({normalize_word(mapping.get(g, g) for g in prefix + (tail,)): c
-                for (prefix, tail), c in e.terms.items()})
+                for (prefix, tail), c in terms.items()})
 
 
 def is_mutation_element(e, _cache=None):
@@ -302,13 +296,17 @@ def is_mutation_element(e, _cache=None):
     if not e:
         return True
     cache = {} if _cache is None else _cache
-    for key, part in _split_by_multidegree(e).items():
-        xdeg = sum(c for _, c in key)
-        for m in part.terms:
-            if param_degree(m) != xdeg - 1:
-                return False
-        ckey, mapping = _canonical(key)
-        if not _component(ckey, cache).contains(_rename(part, mapping)):
+    # one pass grades each monomial and groups it by its x-letters
+    parts = {}
+    for m, c in e.terms.items():
+        xs = sorted(g for g in m[0] + (m[1],) if is_x(g))
+        # parameter degree len(m[0]) + 1 - len(xs) must be len(xs) - 1
+        if len(m[0]) + 2 != 2 * len(xs):
+            return False
+        parts.setdefault(tuple(xs), {})[m] = c
+    for xs, terms in parts.items():
+        ckey, mapping = _canonical(_key(Counter(xs)))
+        if not _component(ckey, cache).contains(_rename(terms, mapping)):
             return False
     return True
 

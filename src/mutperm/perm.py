@@ -46,9 +46,10 @@ def normalize_word(letters):
     letters = tuple(letters)
     if not letters:
         raise ValueError("empty word")
-    for g in letters:
-        gkey(g)
-    return (tuple(sorted(letters[:-1], key=gkey)), letters[-1])
+    # sorting checks every prefix letter through gkey, in order
+    prefix = tuple(sorted(letters[:-1], key=gkey))
+    gkey(letters[-1])
+    return (prefix, letters[-1])
 
 
 def mono_mul(a, b):

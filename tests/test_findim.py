@@ -11,6 +11,7 @@ from mutperm.findim import (MAX_DIM, FiniteAlgebra, change_of_basis,
                             lie_admissible_criterion, load_algebra,
                             mutation_algebra, mutations_lie_admissible,
                             random_vector, satisfies)
+from mutperm.perm import Elt, bracket, mono_mul
 from mutperm.terms import TEMPLATES, Template, TermPoly, multilinearize, parse
 from mutperm.verify import _prop35, criterion_satisfying_samples
 
@@ -148,6 +149,44 @@ def test_mutation_algebra_matches_direct_evaluation():
         want = evaluate(a, parse("<u,w>"),
                         {"u": a.basis(i), "w": a.basis(j)}, p=p, q=q)
         assert m.table[i][j] == want
+
+
+def truncated_free_perm_algebra(letters, top):
+    """The free perm algebra on ``letters`` (in generator order) modulo
+    the words longer than ``top``: its basis is the canonical monomials
+    up to degree ``top``, and a product is perm.mono_mul's monomial, or 0
+    above ``top``.  Returns the algebra and the monomial -> basis index."""
+    monos = [(prefix, tail) for d in range(1, top + 1)
+             for prefix in itertools.combinations_with_replacement(letters,
+                                                                   d - 1)
+             for tail in letters]
+    index = {m: i for i, m in enumerate(monos)}
+    a = FiniteAlgebra(len(monos))
+    for (i, u), (j, w) in itertools.product(enumerate(monos), repeat=2):
+        k = index.get(mono_mul(u, w))
+        if k is not None:
+            a.table[i][j][k] = Fraction(1)
+    return a, index
+
+
+def test_findim_brackets_agree_with_perm_brackets():
+    """Differential oracle between layers: in the free perm algebra on
+    x1, x2, p, q truncated above degree 3, findim's mutation product
+    with p = e_p and q = e_q, both through evaluate and through the
+    mutation_algebra table, has the coordinates of perm.bracket."""
+    letters = ["x1", "x2", "p", "q"]
+    a, index = truncated_free_perm_algebra(letters, 3)
+    assert a.dim == 60
+    e = {g: a.basis(index[((), g)]) for g in letters}
+    mut = mutation_algebra(a, e["p"], e["q"])
+    for u, w in itertools.product(["x1", "x2"], repeat=2):
+        want = a.zero()
+        for m, c in bracket(Elt.gen(u), Elt.gen(w)).terms.items():
+            want[index[m]] = Fraction(c)
+        assert sum(map(bool, want)) == 2
+        assert evaluate(a, parse(f"<{u},{w}>"), {u: e[u], w: e[w]},
+                        p=e["p"], q=e["q"]) == want
+        assert mut.table[index[((), u)]][index[((), w)]] == want
 
 
 def test_change_of_basis_preserves_identities():

@@ -45,6 +45,17 @@ def test_generator_order():
         gkey("x0")
 
 
+def test_normalize_word_names_the_first_unknown_letter():
+    with pytest.raises(ValueError, match="'z'"):
+        normalize_word(["x1", "p", "z"])
+    with pytest.raises(ValueError, match="'z'"):
+        normalize_word(["x2", "z", "x1"])
+    with pytest.raises(ValueError, match="'y'"):
+        normalize_word(["x1", "y", "z"])
+    with pytest.raises(ValueError, match="'z'"):
+        normalize_word(["z"])
+
+
 def test_mono_mul_is_associative_and_left_commutative():
     ms = [normalize_word(w) for w in
           [("x1",), ("x2", "p"), ("q", "x1", "x3")]]
