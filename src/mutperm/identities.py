@@ -16,10 +16,10 @@ import math
 from collections import deque
 
 from .linalg import Matrix, SpanReducer, kernel_basis
-from .mutation import _expander, bracket_monomials, expand
+from .mutation import _expander, _rename, bracket_monomials, expand
 from .perm import monomial_index
 from .terms import (MAX_MAGMATIC, Template, TermPoly, _combine,
-                    _magmatic_count, rename_leaves, substitute, term_vars)
+                    _magmatic_count, substitute, term_vars)
 
 
 def _check_degree(n):
@@ -51,13 +51,26 @@ def magmatic_basis(n, kind="b"):
 
 
 def expansion_matrix(n):
-    """Rows: magmatic monomials; columns: perm monomials (global order)."""
+    """Rows: magmatic monomials; columns: perm monomials (global order).
+
+    Renaming x-generators is an automorphism of the free perm algebra
+    that fixes p and q and commutes with the bracket (``ComponentSpan``),
+    so only the tree of each shape at x1..xn is expanded: at the leaf
+    word w the row is its expansion renamed by x_i -> w_i, term for term.
+    """
     basis = magmatic_basis(n)
-    # one subtree cache for the whole basis: the monomials share subtrees
+    names = _xnames(n)
+    words = list(itertools.permutations(names))
     go = _expander()
-    expansions = [go(t) for t in basis]
-    monos, idx = monomial_index(expansions)
-    rows = [{idx[m]: c for m, c in e.terms.items()} for e in expansions]
+    shapes = [go(t) for t in basis[::len(words)]]
+    # the shapes' monomials, numbered by coefficients that renaming keeps
+    number = {m: k for k, m in enumerate(
+        dict.fromkeys(m for e in shapes for m in e.terms), 1)}
+    renamed = [_rename(number, dict(zip(names, w))) for w in words]
+    monos, idx = monomial_index(renamed)
+    columns = [{k: idx[m] for m, k in e.terms.items()} for e in renamed]
+    rows = [{col[number[m]]: c for m, c in e.terms.items()}
+            for e in shapes for col in columns]
     return Matrix(rows, len(monos))
 
 
@@ -118,33 +131,49 @@ def _multilinear_at_x(item, kind):
     return n, poly
 
 
-def _lift_once(poly, d, kind):
-    """All one-step T-ideal liftings of a multilinear degree-d polynomial."""
-    new = TermPoly.var(f"x{d + 1}")
-    out = [_combine(kind, poly, new), _combine(kind, new, poly)]
-    for i in range(1, d + 1):
-        xi = TermPoly.var(f"x{i}")
-        out.append(substitute(poly, {f"x{i}": _combine(kind, xi, new)}))
-        out.append(substitute(poly, {f"x{i}": _combine(kind, new, xi)}))
-    return out
-
-
 class _DegreeSpace:
-    """Magmatic index plus precomputed permutation actions at one degree."""
+    """Magmatic index plus permutation actions at one degree n.  Column
+    s*n! + r is tree shape s with the r-th leaf word (``magmatic_basis``);
+    renaming x_i -> x_sigma(i) keeps the shape and sends the word w to
+    sigma o w, so an action is a table on the n! words."""
 
     def __init__(self, n, kind):
         self.basis = magmatic_basis(n, kind)
         self.index = {t: i for i, t in enumerate(self.basis)}
-        names = _xnames(n)
+        self._words = list(itertools.permutations(range(n)))
+        self._rank = {w: r for r, w in enumerate(self._words)}
         # the adjacent transpositions, which generate S_n
-        self.transpositions = [
-            self.action({names[k]: names[k + 1], names[k + 1]: names[k]})
-            for k in range(n - 1)]
+        swaps = (list(range(k)) + [k + 1, k] + list(range(k + 2, n))
+                 for k in range(n - 1))
+        self.transpositions = [self.action(sigma) for sigma in swaps]
 
-    def action(self, mapping):
-        """Renaming leaves by ``mapping``, as a map on sparse vectors."""
-        colmap = [self.index[rename_leaves(t, mapping)] for t in self.basis]
+    def colmap(self, sigma):
+        """The column map of x_(i+1) -> x_(sigma[i]+1), sigma in S_n."""
+        word = [self._rank[tuple(sigma[i] for i in w)] for w in self._words]
+        return [s + r for s in range(0, len(self.basis), len(word))
+                for r in word]
+
+    def action(self, sigma):
+        """``colmap(sigma)`` as a map on sparse vectors."""
+        colmap = self.colmap(sigma)
         return lambda v: {colmap[i]: c for i, c in v.items()}
+
+
+def _lift_maps(low, space, d, kind):
+    """Column maps, from the degree-(d-1) basis ``low`` into ``space``, of
+    the one-step T-ideal liftings of g: with y = x_d, (g, y) and (y, g),
+    then g at x_i -> (x_i, y) and at x_i -> (y, x_i) for i < d.  Each
+    sends basis terms to basis terms injectively, so lifting the sum of
+    the basis terms with coefficients 1, 2, ... gives the map."""
+    y = TermPoly.var(f"x{d}")
+    numbered = TermPoly({t: k for k, t in enumerate(low, 1)})
+    lifted = [_combine(kind, numbered, y), _combine(kind, y, numbered)]
+    for i in range(1, d):
+        xi = TermPoly.var(f"x{i}")
+        for sub in (_combine(kind, xi, y), _combine(kind, y, xi)):
+            lifted.append(substitute(numbered, {f"x{i}": sub}))
+    return [[space.index[t] for t in sorted(p.terms, key=p.terms.get)]
+            for p in lifted]
 
 
 def _close(red, transpositions, bound, start):
@@ -165,33 +194,40 @@ def _close(red, transpositions, bound, start):
     first visit them; a later visit only re-inserts vectors already in
     the span, which are rejected without changing any state.
 
-    Each queued row r records ``via``: the k of the s_k whose image it
-    was accepted from (its position in ``transpositions``), or None for
-    the rows already in ``red``.  For a row r with ``via`` k, s_j is not
-    applied when j = k or j <= k - 2, because s_j(r) is already in the
-    span.  Proof, by induction on the order in which rows are popped
-    (every image of a processed row is in the span): r was accepted while
-    r' was processed, with g*r = m*s_k(r') - sum c_i*r_i over pivot rows
-    r_i accepted before r.  Each r_i is one of the closed rows before
-    ``start`` or, by FIFO order, was processed before r is popped, so
-    s_j(r_i) is in the span.  For j = k, s_k(s_k(r')) = r'.
-    For j <= k - 2, s_j(s_k(r')) = s_k(s_j(r')) by the Coxeter relations,
-    and s_j(r') was inserted (or skipped) before s_k(r'), so it lies in
-    the span of rows accepted before r, whose s_k images are in the span
-    for the same reason.  Such an insert would be rejected without
-    changing any state, so skipping it accepts exactly the same rows in
-    the same order.
+    Each queued row r records ``via``, the k of the s_k whose image it
+    was accepted from (its position in ``transpositions``; None for the
+    rows already in ``red``), and its parent's ``via``.  s_j is skipped
+    for r when j = k, when j <= k - 2, and when j = k + 1 and the parent
+    r' of r has ``via`` k + 1, as s_j(r) is then in the span already.
+    Proof, by induction on the order in which rows are popped (every
+    image of a processed row is in the span): r was accepted while r' was
+    processed, so r is a multiple of s_k(r') modulo rows accepted before
+    r; by FIFO order these are closed rows before ``start`` or were
+    processed before r is popped, so their images are in the span.  For
+    j = k, s_k(s_k(r')) = r'.  For j <= k - 2, s_j s_k(r') = s_k s_j(r')
+    by the Coxeter relations, and s_j(r') was inserted (or skipped) before
+    s_k(r'), so it lies in the span of rows accepted before r, whose s_k
+    images are in the span.  In the braid case r' is likewise a multiple
+    of s_{k+1}(r'') modulo rows accepted before r', whose s_k and s_{k+1}
+    images lie in the span of rows accepted before r; so s_{k+1}(r) is a
+    multiple of s_{k+1} s_k s_{k+1}(r'') = s_k s_{k+1} s_k(r''), and
+    s_k(r'') was inserted (or skipped) before s_{k+1}(r''), so it lies in
+    the span of rows accepted before r'.  A skipped insert would be
+    rejected without changing any state, so skipping it accepts exactly
+    the same rows in the same order.
     """
-    queue = deque((vec, None) for vec in
+    queue = deque((vec, None, None) for vec in
                   itertools.islice(red.pivot_rows.values(), start, None))
     while queue and red.dim < bound:
-        vec, via = queue.popleft()
+        vec, via, parent = queue.popleft()
         for j, act in enumerate(transpositions):
-            if via is not None and (j == via or j <= via - 2):
+            if via is not None and (j == via or j <= via - 2
+                                    or j == via + 1 == parent):
                 continue
             if red.insert(act(vec)):
                 # the accepted row is the newest pivot row
-                queue.append((next(reversed(red.pivot_rows.values())), j))
+                queue.append((next(reversed(red.pivot_rows.values())), j,
+                              via))
                 if red.dim >= bound:
                     break
 
@@ -206,22 +242,21 @@ def _consequences(identities, n, kind, cap):
         raise ValueError("identity degree exceeds target degree")
     dmin = min((d for d, _ in items), default=n)
 
-    prev_polys = []
+    rows, space = [], None
     for d in range(dmin, n + 1):
-        space = _DegreeSpace(d, kind)
+        low, space = space, _DegreeSpace(d, kind)
+        lifts = [] if low is None else _lift_maps(low.basis, space, d, kind)
+        gens = itertools.chain(
+            (poly_to_vec(p, space.index) for deg, p in items if deg == d),
+            ({m[i]: c for i, c in row.items()} for row in rows for m in lifts))
         reducer = SpanReducer()
         bound = cap if d == n and cap is not None else math.inf
-        gens = [p for deg, p in items if deg == d]
-        for poly in prev_polys:
-            gens.extend(_lift_once(poly, d - 1, kind))
-        for poly in gens:
+        for vec in gens:
             if reducer.dim >= bound:
                 break
-            reducer.insert(poly_to_vec(poly, space.index))
+            reducer.insert(vec)
         _close(reducer, space.transpositions, bound, 0)
-        if d < n:
-            prev_polys = [vec_to_poly(reducer.pivot_rows[c], space.basis)
-                          for c in sorted(reducer.pivot_rows)]
+        rows = [reducer.pivot_rows[c] for c in sorted(reducer.pivot_rows)]
     return reducer, space
 
 
@@ -267,9 +302,7 @@ def new_identities(known, n):
     scored by its gain, the dimension its orbit adds to the current span R,
     and the first vector of largest gain wins; its residue modulo R is the
     representative, and its orbit joins R.  The gain is read off a copy of
-    R grown by v and closed under the adjacent transpositions; the
-    closure skips each transposition image that the Coxeter relations
-    prove is already in the span (see ``_close``).
+    R grown by v and closed by ``_close``.
     ``representatives`` lists the winners.  A greedy set need not be a
     smallest one, so ``new_dim`` is an upper bound on the number of new
     generators needed.
@@ -291,9 +324,8 @@ def new_identities(known, n):
 
     representatives = []
     if cdim < kdim:
-        names = _xnames(n)
-        orbit = [space.action(dict(zip(names, pp)))
-                 for pp in itertools.permutations(names)]
+        orbit = [space.action(sigma)
+                 for sigma in itertools.permutations(range(n))]
         # R = red is closed under variable permutations, and stays so after
         # each orbit insertion.  A trial lies in the kernel, so one that
         # reaches kdim ends the round.  A v in the best trial so far (at

@@ -277,8 +277,15 @@ def _canonical(key):
 
 def _rename(terms, mapping):
     """The Elt of ``terms`` (monomial -> coefficient) with each generator
-    g renamed to mapping.get(g, g), injective."""
-    return Elt({normalize_word(mapping.get(g, g) for g in prefix + (tail,)): c
+    g renamed to mapping.get(g, g), for ``mapping`` an injective renaming
+    of all their x-generators to x-generators.  One that keeps them in
+    order keeps each prefix sorted, so it skips ``normalize_word``."""
+    get = mapping.get
+    keys = [gkey(mapping[g]) for g in sorted(mapping, key=gkey)]
+    if keys == sorted(keys):
+        return Elt({(tuple(get(g, g) for g in prefix), get(tail, tail)): c
+                    for (prefix, tail), c in terms.items()})
+    return Elt({normalize_word(get(g, g) for g in prefix + (tail,)): c
                 for (prefix, tail), c in terms.items()})
 
 

@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from mutperm.identities import (_DegreeSpace, _as_poly_at_x, _lift_once,
+from mutperm.identities import (_DegreeSpace, _as_poly_at_x, _lift_maps,
                                 _orbit_span, consequence_span,
                                 expansion_matrix, identity_kernel,
                                 magmatic_basis, new_identities, poly_to_vec,
                                 tideal_membership, vec_to_poly)
 from mutperm.linalg import Matrix, SpanReducer, kernel_basis, rref
 from mutperm.mutation import expand
-from mutperm.terms import (TEMPLATES, TermPoly, bnode, mnode, multilinearize,
-                           parse, rename_leaves)
+from mutperm.perm import mono_key
+from mutperm.terms import (TEMPLATES, TermPoly, _combine, bnode, mnode,
+                           multilinearize, parse, rename_leaves, substitute)
 from mutperm.verify import PAPER_MATRIX_3, permutation_matrix_deg3
 
 
@@ -46,6 +47,85 @@ def test_expansion_matrix_ranks():
     assert rref(expansion_matrix(2))[1] == 2
     m3 = expansion_matrix(3)
     assert m3.nrows == 12 and rref(m3)[1] == 7
+
+
+def perm_columns(n):
+    """The multilinear perm monomials of degree n in x1..xn with n - 1
+    parameters, in the global monomial order."""
+    names = [f"x{i}" for i in range(1, n + 1)]
+    monos = []
+    for tail in names:
+        rest = [g for g in names if g != tail]
+        for k in range(n):
+            params = ["p"] * k + ["q"] * (n - 1 - k)
+            monos.append((tuple(rest + params), tail))
+    return sorted(monos, key=mono_key)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_expansion_matrix_rows_are_expansions(n):
+    """Each row is the expansion of its magmatic monomial, term order
+    included: every row for n <= 5, 300 seeded rows for n = 6."""
+    mat = expansion_matrix(n)
+    cols = {m: i for i, m in enumerate(perm_columns(n))}
+    assert mat.ncols == len(cols)
+    basis = magmatic_basis(n)
+    rows = range(len(basis))
+    if n == 6:
+        rows = random.Random(6).sample(rows, 300)
+    for i in rows:
+        want = [(cols[m], c) for m, c in
+                expand(TermPoly.term(basis[i])).terms.items()]
+        assert list(mat.rows[i].items()) == want
+
+
+@pytest.mark.parametrize("kind", ["b", "m"])
+def test_degree_space_maps_match_leaf_renaming(kind):
+    """The index-table actions equal renaming the leaves of every term:
+    the transpositions for n <= 5, the whole orbit for n <= 4 and 20
+    seeded permutations for n = 5."""
+    rng = random.Random(5)
+    for n in range(1, 6):
+        space = _DegreeSpace(n, kind)
+        basis = magmatic_basis(n, kind)
+        index = {t: i for i, t in enumerate(basis)}
+        assert space.basis == basis and space.index == index
+        names = [f"x{i}" for i in range(1, n + 1)]
+        every = {i: i + 1 for i in range(len(basis))}
+        assert len(space.transpositions) == n - 1
+        for (a, b), act in zip(zip(names, names[1:]), space.transpositions):
+            want = renaming_colmap(basis, index, {a: b, b: a})
+            assert list(act(every).items()) == [(want[i], c)
+                                                for i, c in every.items()]
+        sigmas = list(itertools.permutations(range(n)))
+        if n == 5:
+            sigmas = rng.sample(sigmas, 20)
+        for sigma in sigmas:
+            mapping = {names[i]: names[j] for i, j in enumerate(sigma)}
+            assert space.colmap(sigma) == renaming_colmap(basis, index,
+                                                          mapping)
+
+
+@pytest.mark.parametrize("kind", ["b", "m"])
+def test_lift_maps_match_substitution(kind):
+    """Lifting a vector through the column maps equals lifting its
+    polynomial by substitution, term order included, for every basis
+    term and for seeded polynomials, degrees 1 to 4 lifted by one."""
+    rng = random.Random(4)
+    for d in range(1, 5):
+        low = magmatic_basis(d, kind)
+        space = _DegreeSpace(d + 1, kind)
+        maps = _lift_maps(low, space, d + 1, kind)
+        vecs = [{i: 1} for i in range(len(low))]
+        vecs += [{i: rng.randint(-9, 9) or 1
+                  for i in rng.sample(range(len(low)), min(len(low), 7))}
+                 for _ in range(10)]
+        for v in vecs:
+            want = [poly_to_vec(p, space.index)
+                    for p in _lift_once(vec_to_poly(v, low), d, kind)]
+            got = [{m[i]: c for i, c in v.items()} for m in maps]
+            assert [list(w.items()) for w in want] == \
+                [list(g.items()) for g in got]
 
 
 def test_identity_kernel_dims():
@@ -120,29 +200,51 @@ def test_consequence_span_degree4_against_brute_oracle():
         assert fast == slow
 
 
+def _lift_once(poly, d, kind):
+    """All one-step T-ideal liftings of a multilinear degree-d polynomial,
+    by substitution into the polynomial."""
+    new = TermPoly.var(f"x{d + 1}")
+    out = [_combine(kind, poly, new), _combine(kind, new, poly)]
+    for i in range(1, d + 1):
+        xi = TermPoly.var(f"x{i}")
+        out.append(substitute(poly, {f"x{i}": _combine(kind, xi, new)}))
+        out.append(substitute(poly, {f"x{i}": _combine(kind, new, xi)}))
+    return out
+
+
+def renaming_colmap(basis, index, mapping):
+    """Column map of renaming the leaves of every basis term."""
+    return [index[rename_leaves(t, mapping)] for t in basis]
+
+
 def fixed_point_consequence_span(identities, n):
-    """Oracle: consequence_span with the permutation closure done by
-    re-applying every transposition to every pivot row until a whole pass
-    adds nothing."""
+    """Oracle: consequence_span with the liftings done by substitution
+    into polynomials, the transpositions by renaming leaves, and the
+    permutation closure by re-applying every transposition to every pivot
+    row until a whole pass adds nothing."""
     items = [(len(p.variables()), p) for p in map(_as_poly_at_x, identities)]
     prev_polys = []
     for d in range(min(deg for deg, _ in items), n + 1):
-        space = _DegreeSpace(d, "b")
+        basis = magmatic_basis(d)
+        index = {t: i for i, t in enumerate(basis)}
+        names = [f"x{i}" for i in range(1, d + 1)]
+        maps = [renaming_colmap(basis, index, {a: b, b: a})
+                for a, b in zip(names, names[1:])]
         reducer = SpanReducer()
         gens = [p for deg, p in items if deg == d]
         for poly in prev_polys:
             gens.extend(_lift_once(poly, d - 1, "b"))
         for poly in gens:
-            reducer.insert(poly_to_vec(poly, space.index))
+            reducer.insert(poly_to_vec(poly, index))
         grew = True
         while grew:
             grew = False
             for vec in list(reducer.pivot_rows.values()):
-                for act in space.transpositions:
-                    if reducer.insert(act(vec)):
+                for m in maps:
+                    if reducer.insert({m[i]: c for i, c in vec.items()}):
                         grew = True
         rows = [reducer.pivot_rows[c] for c in sorted(reducer.pivot_rows)]
-        prev_polys = [vec_to_poly(v, space.basis) for v in rows]
+        prev_polys = [vec_to_poly(v, basis) for v in rows]
     return rows
 
 
@@ -170,13 +272,14 @@ def count_inserts(monkeypatch):
 
 
 def test_consequence_span_insert_count(monkeypatch):
-    """The closure skips the transposition images that the Coxeter
-    relations place in the span already; a closure that applies every
-    transposition to every row makes 4,701 inserts here."""
+    """The closure skips the transposition images that the Coxeter and
+    braid relations place in the span already; a closure that applies
+    every transposition to every row makes 4,701 inserts here, and one
+    that skips only the Coxeter cases 3,282."""
     calls = count_inserts(monkeypatch)
     rows = consequence_span([TEMPLATES["f"], TEMPLATES["conj4b"]], 5)
     assert len(rows) == 1039
-    assert len(calls) == 3282
+    assert len(calls) == 2916
 
 
 def test_scans_keep_the_consequence_reducer(monkeypatch):
@@ -184,19 +287,20 @@ def test_scans_keep_the_consequence_reducer(monkeypatch):
     consequence span was closed in, and new_identities eliminates the
     expansion matrix once.  Re-inserting the consequence rows into a new
     reducer, and ranking the expansion matrix apart from its kernel,
-    made 1,221 inserts (617 accepted) and 7,952 (3,412) here."""
+    made 1,221 inserts (617 accepted) and 7,952 (3,412) here; before the
+    closure skipped the braid case, 1,009 (512) and 6,302 (1,762)."""
     calls = count_inserts(monkeypatch)
     T = TEMPLATES
     rep = new_identities([T["f"], T["wa"], T["hbar"], T["ibar"]], 4)
     assert rep["new_dim"] == 2
-    assert (len(calls), sum(calls)) == (1009, 512)
+    assert (len(calls), sum(calls)) == (895, 512)
     calls.clear()
     a, b, c = (TermPoly.var(x) for x in "abc")
     bicommutativity = [mnode(mnode(a, b), c) - mnode(mnode(a, c), b),
                        mnode(a, mnode(b, c)) - mnode(b, mnode(a, c))]
     assert tideal_membership(multilinearize(T["crit36"].body),
                              bicommutativity, kind="m")
-    assert (len(calls), sum(calls)) == (6302, 1762)
+    assert (len(calls), sum(calls)) == (6149, 1762)
 
 
 def test_consequence_span_degree4_frozen_dims():
@@ -254,7 +358,7 @@ def trial_loop_new_identities(known, n):
     basis = magmatic_basis(n)
     index = {t: i for i, t in enumerate(basis)}
     names = [f"x{i}" for i in range(1, n + 1)]
-    maps = [[index[rename_leaves(t, dict(zip(names, pp)))] for t in basis]
+    maps = [renaming_colmap(basis, index, dict(zip(names, pp)))
             for pp in itertools.permutations(names)]
     mat = expansion_matrix(n)
     kb = kernel_basis(mat.transpose())

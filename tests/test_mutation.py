@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from math import comb
 
@@ -212,6 +213,32 @@ def test_membership_insert_count(monkeypatch):
                              "p", "q", "q", "p", "p"))
     assert not is_mutation_element(member + Elt.monomial(tail_p))
     assert (len(calls), sum(calls)) == (2517, 75)
+
+
+def test_rename_matches_normalize_word():
+    """An order-keeping renaming maps prefixes letter by letter, any other
+    re-sorts them; both agree with normalize_word of the renamed word,
+    term order included.  The targets reach x10 and x12, which sort
+    after x9 numerically but not as strings."""
+    rng = random.Random(7)
+    olds = ["x1", "x2", "x3", "x4"]
+    targets = [f"x{i}" for i in range(1, 13)]
+    kept_order = 0
+    for _ in range(200):
+        new = rng.sample(targets, len(olds))
+        if rng.random() < 0.5:
+            new.sort(key=gkey)
+        kept_order += new == sorted(new, key=gkey)
+        mapping = dict(zip(olds, new))
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            word = rng.choices(olds + ["p", "q"], k=rng.randint(1, 7))
+            terms[normalize_word(word)] = rng.randint(-5, 5) or 1
+        want = {normalize_word(mapping.get(g, g) for g in m[0] + (m[1],)): c
+                for m, c in terms.items()}
+        got = mutation._rename(terms, mapping)
+        assert list(got.terms.items()) == list(want.items())
+    assert 50 < kept_order < 150
 
 
 def test_verify_basis_B_small():
