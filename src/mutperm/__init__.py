@@ -6,6 +6,7 @@ Submodules:
 * ``terms``      -- bracket/product terms, identity templates, parser
 * ``mutation``   -- expansion, the spanning set B, mutation-element tests
 * ``identities`` -- multilinear identity kernels and T-ideal consequences
+* ``symmetric``  -- Young's seminormal form of S_n and per-λ ranks
 * ``findim``     -- structure-constants algebras and their mutations
 * ``speciality`` -- ideal components and the exceptional-image certificate
 * ``linalg``     -- exact sparse rational linear algebra

@@ -15,9 +15,10 @@ import itertools
 import math
 from collections import deque
 
-from .linalg import Matrix, SpanReducer, kernel_basis
+from .linalg import Matrix, SpanReducer, _to_int_row, kernel_basis, rref
 from .mutation import _expander, _rename, bracket_monomials, expand
 from .perm import monomial_index
+from .symmetric import dimension, grow, irreps, multiplicities
 from .terms import (MAX_MAGMATIC, Template, TermPoly, _combine,
                     _magmatic_count, substitute, term_vars)
 
@@ -50,8 +51,10 @@ def magmatic_basis(n, kind="b"):
     return bracket_monomials(dict.fromkeys(_xnames(n), 1), kind)
 
 
-def expansion_matrix(n):
-    """Rows: magmatic monomials; columns: perm monomials (global order).
+def _expansion(n):
+    """``expansion_matrix(n)`` and ``columns``: ``columns[r][k]`` is the
+    column of the k-th monomial of the shapes' expansions renamed by the
+    r-th leaf word.
 
     Renaming x-generators is an automorphism of the free perm algebra
     that fixes p and q and commutes with the bracket (``ComponentSpan``),
@@ -71,7 +74,44 @@ def expansion_matrix(n):
     columns = [{k: idx[m] for m, k in e.terms.items()} for e in renamed]
     rows = [{col[number[m]]: c for m, c in e.terms.items()}
             for e in shapes for col in columns]
-    return Matrix(rows, len(monos))
+    return Matrix(rows, len(monos)), columns
+
+
+def expansion_matrix(n):
+    """Rows: magmatic monomials; columns: perm monomials (global order)."""
+    return _expansion(n)[0]
+
+
+def kernel_multiplicities(n, expansion=None):
+    """dim K and the multiplicities m_λ(K), in ``symmetric.partitions``
+    order, of the irreducibles of S_n in the degree-n identity kernel K.
+    ``expansion`` is ``_expansion(n)``, when the caller has it already.
+
+    The expansion map commutes with renaming and V_n is C = Catalan(n-1)
+    copies of QS_n, so m_λ(K) = C*d_λ - m_λ(image).  The image character
+    at sigma is sum_i (sigma.row_i)[pivot_i] over the RREF rows of
+    ``expansion_matrix(n)``: sigma.row_i lies in the image, whose vectors
+    u are sum_i u[pivot_i] row_i.  sigma sends the column of shape
+    monomial k at word w to its column at sigma o w; this takes the entry
+    at that column, the value of (sigma^-1.row_i)[pivot_i], and every
+    permutation is conjugate to its inverse.
+    """
+    mat, columns = expansion or _expansion(n)
+    ech, rank = rref(mat)
+    words = list(itertools.permutations(range(n)))
+    position = {w: r for r, w in enumerate(words)}
+    origin = {c: (r, k) for r, col in enumerate(columns)
+              for k, c in col.items()}
+    pivots = [(row, origin[min(row)]) for row in ech.rows]
+
+    def trace(sigma):
+        return sum(row.get(columns[position[tuple(
+            sigma[i] for i in words[r])]][k], 0) for row, (r, k) in pivots)
+
+    image = multiplicities(n, [trace(sigma) for sigma in words])
+    shapes = mat.nrows // len(words)
+    return mat.nrows - rank, [shapes * rep.dim - m
+                              for rep, m in zip(irreps(n), image)]
 
 
 def vec_to_poly(vec, basis):
@@ -176,48 +216,43 @@ def _lift_maps(low, space, d, kind):
             for p in lifted]
 
 
-def _close(red, transpositions, bound, start):
+def _close(red, transpositions, bound):
     """Grow ``red`` to the smallest span that contains it and is closed
     under S_n, or until ``red.dim`` reaches ``bound``.  ``transpositions``
     must be the adjacent transpositions s_1, ..., s_{n-1} of S_n, in this
     order, as callables on sparse vectors (``_DegreeSpace.transpositions``).
-    The pivot rows before position ``start`` (in insertion order) must
-    already span a closed subspace.
 
-    A FIFO worklist applies the transpositions to each row from ``start``
-    on and to each accepted row; with the closed rows they span the
-    result, so it is closed once the queue is empty.  This accepts the
-    same rows in the same order as passes that re-apply every
-    transposition to every pivot row until a pass adds nothing.  Pivot
-    rows are never rewritten after insertion and pivot_rows iterates in
-    insertion order, so the queue meets rows in the order those passes
-    first visit them; a later visit only re-inserts vectors already in
-    the span, which are rejected without changing any state.
+    A FIFO worklist applies the transpositions to every row, the rows
+    already in ``red`` first; once the queue is empty the span is closed.
+    This accepts the same rows in the same order as passes that re-apply
+    every transposition to every pivot row until a pass adds nothing.
+    Pivot rows are never rewritten after insertion and pivot_rows iterates
+    in insertion order, so the queue meets rows in the order those passes
+    first visit them; a later visit only re-inserts vectors already in the
+    span, which are rejected without changing any state.
 
-    Each queued row r records ``via``, the k of the s_k whose image it
-    was accepted from (its position in ``transpositions``; None for the
-    rows already in ``red``), and its parent's ``via``.  s_j is skipped
-    for r when j = k, when j <= k - 2, and when j = k + 1 and the parent
-    r' of r has ``via`` k + 1, as s_j(r) is then in the span already.
-    Proof, by induction on the order in which rows are popped (every
-    image of a processed row is in the span): r was accepted while r' was
-    processed, so r is a multiple of s_k(r') modulo rows accepted before
-    r; by FIFO order these are closed rows before ``start`` or were
-    processed before r is popped, so their images are in the span.  For
-    j = k, s_k(s_k(r')) = r'.  For j <= k - 2, s_j s_k(r') = s_k s_j(r')
-    by the Coxeter relations, and s_j(r') was inserted (or skipped) before
-    s_k(r'), so it lies in the span of rows accepted before r, whose s_k
-    images are in the span.  In the braid case r' is likewise a multiple
-    of s_{k+1}(r'') modulo rows accepted before r', whose s_k and s_{k+1}
-    images lie in the span of rows accepted before r; so s_{k+1}(r) is a
-    multiple of s_{k+1} s_k s_{k+1}(r'') = s_k s_{k+1} s_k(r''), and
-    s_k(r'') was inserted (or skipped) before s_{k+1}(r''), so it lies in
-    the span of rows accepted before r'.  A skipped insert would be
-    rejected without changing any state, so skipping it accepts exactly
-    the same rows in the same order.
+    Each queued row r records ``via``, the k of the s_k whose image it was
+    accepted from (its position in ``transpositions``; None for the rows
+    already in ``red``), and its parent's ``via``.  s_j is skipped for r
+    when j = k, when j <= k - 2, and when j = k + 1 and the parent r' of r
+    has ``via`` k + 1, as s_j(r) is then in the span already.  Proof, by
+    induction on the order in which rows are popped (every image of a
+    processed row is in the span): r was accepted while r' was processed,
+    so r is a multiple of s_k(r') modulo rows accepted before r; by FIFO
+    order these were processed before r is popped, so their images are in
+    the span.  For j = k, s_k(s_k(r')) = r'.  For j <= k - 2, s_j s_k(r') =
+    s_k s_j(r') by the Coxeter relations, and s_j(r') was inserted (or
+    skipped) before s_k(r'), so it lies in the span of rows accepted before
+    r, whose s_k images are in the span.  In the braid case r' is likewise
+    a multiple of s_{k+1}(r'') modulo rows accepted before r', whose s_k
+    and s_{k+1} images lie in the span of rows accepted before r; so
+    s_{k+1}(r) is a multiple of s_{k+1} s_k s_{k+1}(r'') = s_k s_{k+1}
+    s_k(r''), and s_k(r'') was inserted (or skipped) before s_{k+1}(r''),
+    so it lies in the span of rows accepted before r'.  A skipped insert
+    would be rejected without changing any state, so skipping it accepts
+    exactly the same rows in the same order.
     """
-    queue = deque((vec, None, None) for vec in
-                  itertools.islice(red.pivot_rows.values(), start, None))
+    queue = deque((vec, None, None) for vec in red.pivot_rows.values())
     while queue and red.dim < bound:
         vec, via, parent = queue.popleft()
         for j, act in enumerate(transpositions):
@@ -232,22 +267,31 @@ def _close(red, transpositions, bound, start):
                     break
 
 
-def _consequences(identities, n, kind, cap):
-    """The reducer of the degree-n consequence span (see
-    ``consequence_span``), closed under S_n unless ``cap`` stopped it,
-    and the ``_DegreeSpace`` of its columns."""
+def _degrees(identities, n, kind):
+    """For each d from the least degree of the ``identities`` (n if there
+    are none) to n: d, the ``_DegreeSpace`` of degree d, the
+    ``_lift_maps`` into it from degree d-1 (none at the first d) and the
+    vectors of the identities of degree d."""
     _check_degree(n)
     items = [_multilinear_at_x(it, kind) for it in identities]
     if any(d > n for d, _ in items):
         raise ValueError("identity degree exceeds target degree")
-    dmin = min((d for d, _ in items), default=n)
-
-    rows, space = [], None
-    for d in range(dmin, n + 1):
+    space = None
+    for d in range(min((d for d, _ in items), default=n), n + 1):
         low, space = space, _DegreeSpace(d, kind)
         lifts = [] if low is None else _lift_maps(low.basis, space, d, kind)
+        yield d, space, lifts, [poly_to_vec(p, space.index)
+                                for deg, p in items if deg == d]
+
+
+def _consequences(identities, n, kind, cap):
+    """The reducer of the degree-n consequence span (see
+    ``consequence_span``), closed under S_n unless ``cap`` stopped it,
+    and the ``_DegreeSpace`` of its columns."""
+    rows = []
+    for d, space, lifts, vecs in _degrees(identities, n, kind):
         gens = itertools.chain(
-            (poly_to_vec(p, space.index) for deg, p in items if deg == d),
+            vecs,
             ({m[i]: c for i, c in row.items()} for row in rows for m in lifts))
         reducer = SpanReducer()
         bound = cap if d == n and cap is not None else math.inf
@@ -255,7 +299,7 @@ def _consequences(identities, n, kind, cap):
             if reducer.dim >= bound:
                 break
             reducer.insert(vec)
-        _close(reducer, space.transpositions, bound, 0)
+        _close(reducer, space.transpositions, bound)
         rows = [reducer.pivot_rows[c] for c in sorted(reducer.pivot_rows)]
     return reducer, space
 
@@ -275,17 +319,27 @@ def consequence_span(identities, n, kind="b", cap=None):
     return [red.pivot_rows[c] for c in sorted(red.pivot_rows)]
 
 
-def _orbit_span(red, v, transpositions, bound):
-    """The span R of ``red`` grown by v and closed under S_n, given by its
-    adjacent ``transpositions`` as for ``_close``: span(S_n v) + R, in a
-    new reducer grown at most to ``bound``.  R must be closed already, so
-    only the rows after R's enter the closure; the copy shares R's pivot
-    rows, which are never rewritten."""
-    trial = SpanReducer()
-    trial.pivot_rows = dict(red.pivot_rows)
-    trial.insert(v)
-    _close(trial, transpositions, bound, red.dim)
-    return trial
+def consequences_per_lambda(identities, n, caps):
+    """The degree-n consequence span of ``identities`` split by the
+    irreducibles of S_n: per partition λ (``symmetric.partitions``
+    order), the span of the stacked rho_λ(g) over its S_n-module
+    generators g, grown at most to ``caps[λ]`` (``symmetric.grow``).
+    Uncapped, ``symmetric.dimension`` of the result is
+    ``len(consequence_span(identities, n))``.
+
+    The generators are the identities of degree n and the lifts of the
+    generators of degree n-1 (200 vectors at degree 5 for the six of the
+    paper).  Lifting commutes with S_{n-1}: renaming the lift of g by
+    sigma, which fixes x_n, gives a lift of g renamed by sigma (the slot
+    x_i -> (x_i, x_n) moving to x_sigma(i)).  So the lifts of the
+    degree-(n-1) span, which ``consequence_span`` inserts before closing,
+    lie in the module the lifts of its generators generate.
+    """
+    gens = []
+    for _, _, lifts, vecs in _degrees(identities, n, "b"):
+        gens = [_to_int_row(v) for v in vecs] + [
+            {m[i]: c for i, c in g.items()} for g in gens for m in lifts]
+    return grow(n, gens, caps)
 
 
 def new_identities(known, n):
@@ -301,11 +355,12 @@ def new_identities(known, n):
     which is deterministic: in each round every kernel basis vector v is
     scored by its gain, the dimension its orbit adds to the current span R,
     and the first vector of largest gain wins; its residue modulo R is the
-    representative, and its orbit joins R.  The gain is read off a copy of
-    R grown by v and closed by ``_close``.
-    ``representatives`` lists the winners.  A greedy set need not be a
-    smallest one, so ``new_dim`` is an upper bound on the number of new
-    generators needed.
+    representative, and its orbit joins R.  The gain is read off per
+    irreducible λ of S_n (``consequences_per_lambda``): it is
+    sum_λ d_λ (rank [R_λ; rho_λ(v)] - rank R_λ), R_λ being the span of
+    R's part at λ.  ``representatives`` lists the winners.  A greedy set
+    need not be a smallest one, so ``new_dim`` is an upper bound on the
+    number of new generators needed.
     Raises ValueError (with a witness) if some known candidate is not an
     identity of mutations of perm algebras.
     """
@@ -315,7 +370,8 @@ def new_identities(known, n):
             name = it.name if isinstance(it, Template) else str(it)
             raise ValueError(f"not an identity: {name}; expansion {val}")
 
-    kb = kernel_basis(expansion_matrix(n).transpose())
+    expansion = _expansion(n)
+    kb = kernel_basis(expansion[0].transpose())
     kdim = len(kb)
     # consequences of vanishing identities always lie in the kernel, so
     # the kernel dimension is a sound growth cap
@@ -327,24 +383,38 @@ def new_identities(known, n):
         orbit = [space.action(sigma)
                  for sigma in itertools.permutations(range(n))]
         # R = red is closed under variable permutations, and stays so after
-        # each orbit insertion.  A trial lies in the kernel, so one that
-        # reaches kdim ends the round.  A v in the best trial so far (at
-        # first R itself) has S_n v + R inside it, so its gain cannot beat
-        # the best one strictly, and v is skipped.
-        while red.dim < kdim:
-            best, best_trial = None, red
-            for v in kb:
-                if best_trial.contains(v):
+        # each orbit insertion.  R and every candidate lie in the kernel,
+        # so m_λ(K) caps each R_λ exactly, and a candidate whose gain
+        # reaches kdim ends the round.  The gain dim S_n v - dim(S_n v ∩ R)
+        # cannot grow with R, so a candidate's last gain bounds its gain
+        # now, and one whose bound cannot beat the best gain is skipped.
+        _, caps = kernel_multiplicities(n, expansion)
+        candidates = [_to_int_row(v) for v in kb]
+        bounds = [kdim] * len(kb)
+        spans = consequences_per_lambda(known, n, caps)
+        while True:
+            if dimension(n, spans) != red.dim:
+                raise RuntimeError(f"per-irreducible dimension "
+                                   f"{dimension(n, spans)} differs from "
+                                   f"the span's {red.dim}")
+            if red.dim == kdim:
+                break
+            best, best_dim = None, red.dim
+            for i, v in enumerate(candidates):
+                if red.dim + bounds[i] <= best_dim:
                     continue
-                trial = _orbit_span(red, v, space.transpositions, kdim)
-                if trial.dim > best_trial.dim:
-                    best, best_trial = v, trial
-                    if trial.dim == kdim:
+                trial = grow(n, [v], caps, spans)
+                dim = dimension(n, trial)
+                bounds[i] = dim - red.dim
+                if dim > best_dim:
+                    best, best_dim, best_spans = i, dim, trial
+                    if dim == kdim:
                         break
-            residue = red.residue(best)
+            residue = red.residue(kb[best])
             representatives.append(vec_to_poly(residue, space.basis))
             for act in orbit:
                 red.insert(act(residue))
+            spans = best_spans
     return {"kernel_dim": kdim, "consequence_dim": cdim,
             "new_dim": len(representatives),
             "representatives": representatives}

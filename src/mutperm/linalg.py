@@ -10,7 +10,7 @@ pivot), so equal inputs always give identical output.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def clean_vec(v):
@@ -286,10 +286,9 @@ def _to_int_row(v):
     if all(type(c) is int for c in v.values()):
         return _primitive({k: c for k, c in v.items() if c})
     items = [(k, Fraction(c)) for k, c in v.items() if c]
-    den = 1
-    for _, c in items:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return _primitive({k: int(c * den) for k, c in items})
+    den = lcm(*(c.denominator for _, c in items))
+    return _primitive({k: c.numerator * (den // c.denominator)
+                       for k, c in items})
 
 
 class SpanReducer:

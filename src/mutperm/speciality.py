@@ -143,14 +143,6 @@ def perm_ideal_component(generators, multidegree):
     return out
 
 
-def in_component_span(component, element):
-    red = SpanReducer()
-    columns = {}
-    for e in component:
-        red.insert(sparse_vec(e.terms, columns))
-    return red.contains(sparse_vec(element.terms, columns))
-
-
 def cohn_check(req, target):
     """Membership report for ``target`` (a bracket polynomial) against
     the two ideal components of the request.
@@ -166,8 +158,10 @@ def cohn_check(req, target):
     t_elt = expand(target)
 
     gen_elts = [expand(g) for g in req.generators]
-    perm_comp = perm_ideal_component(gen_elts, req.multidegree)
-    in_perm = in_component_span(perm_comp, t_elt)
+    red, columns = SpanReducer(), {}
+    for e in perm_ideal_component(gen_elts, req.multidegree):
+        red.insert(sparse_vec(e.terms, columns))
+    in_perm = red.contains(sparse_vec(t_elt.terms, columns))
 
     words = mutation_ideal_words(req)
     mut_comp = [expand(w) for w in words]

@@ -17,12 +17,14 @@ import time
 from fractions import Fraction
 
 from . import findim, speciality
-from .identities import (consequence_span, expansion_matrix, identity_kernel,
+from .identities import (consequence_span, consequences_per_lambda,
+                         identity_kernel, kernel_multiplicities,
                          magmatic_basis, new_identities, tideal_membership)
 from .linalg import Matrix, kernel_basis, rref
 from .mutation import (check_relations, enumerate_B, expand,
                        is_mutation_element, verify_basis_B)
 from .perm import Elt, commutator, multilinear_monomials
+from .symmetric import dimension
 from .terms import TEMPLATES, TermPoly, bnode, mnode, multilinearize
 
 
@@ -217,14 +219,24 @@ def check_degree4_new_identities():
 
 
 def check_degree5_closure():
+    """The six identities close the degree-5 kernel K, decided per
+    irreducible λ of S_5 (``consequences_per_lambda``).
+
+    The verdict is sound with any caps.  The generators are consequences,
+    and each per-λ count is at most the true multiplicity of λ in the
+    consequences, which is at most m_λ(K) as the consequences lie in K.
+    So the d_λ-weighted sum of the counts is at most the dimension of the
+    consequence span, and a sum equal to dim K (rows minus the rank of
+    the expansion matrix, exact) proves that the consequences span K.
+    The caps m_λ(K) come from the image character
+    (``kernel_multiplicities``) and only let each λ stop early.
+    """
     T = TEMPLATES
     six = [T["f"], T["wa"], T["hbar"], T["ibar"], T["conj4a"], T["conj4b"]]
-    mat = expansion_matrix(5)
-    _, rank = rref(mat)
-    kdim = mat.nrows - rank
-    cons = consequence_span(six, 5, cap=kdim)
-    if len(cons) != kdim:
-        return False, f"consequences span {len(cons)} of kernel {kdim}"
+    kdim, caps = kernel_multiplicities(5)
+    cons = dimension(5, consequences_per_lambda(six, 5, caps))
+    if cons != kdim:
+        return False, f"consequences span {cons} of kernel {kdim}"
     return True, f"six identities span the full degree-5 kernel (dim {kdim})"
 
 

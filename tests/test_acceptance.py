@@ -15,7 +15,7 @@ BUDGETS = {
     "degree3-identities": 10,
     "counterexample-algebra": 1,
     "degree4-new-identities": 2,
-    "degree5-closure": 15,
+    "degree5-closure": 1.2,
     "cohn-certificate": 5,
     "lie-admissibility": 5,
     "infrastructure": 60,

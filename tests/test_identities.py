@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from mutperm.identities import (_DegreeSpace, _as_poly_at_x, _lift_maps,
-                                _orbit_span, consequence_span,
-                                expansion_matrix, identity_kernel,
+                                consequence_span, expansion_matrix,
+                                identity_kernel, kernel_multiplicities,
                                 magmatic_basis, new_identities, poly_to_vec,
                                 tideal_membership, vec_to_poly)
-from mutperm.linalg import Matrix, SpanReducer, kernel_basis, rref
+from mutperm.linalg import (Matrix, SpanReducer, _to_int_row, kernel_basis,
+                            rref)
 from mutperm.mutation import expand
 from mutperm.perm import mono_key
+from mutperm.symmetric import dimension, grow
 from mutperm.terms import (TEMPLATES, TermPoly, _combine, bnode, mnode,
                            multilinearize, parse, rename_leaves, substitute)
 from mutperm.verify import PAPER_MATRIX_3, permutation_matrix_deg3
@@ -285,15 +287,19 @@ def test_consequence_span_insert_count(monkeypatch):
 def test_scans_keep_the_consequence_reducer(monkeypatch):
     """new_identities and tideal_membership query the reducer that the
     consequence span was closed in, and new_identities eliminates the
-    expansion matrix once.  Re-inserting the consequence rows into a new
-    reducer, and ranking the expansion matrix apart from its kernel,
-    made 1,221 inserts (617 accepted) and 7,952 (3,412) here; before the
-    closure skipped the braid case, 1,009 (512) and 6,302 (1,762)."""
+    expansion matrix once for its kernel.  Re-inserting the consequence
+    rows into a new reducer, and ranking the expansion matrix apart from
+    its kernel, made 1,221 inserts (617 accepted) and 7,952 (3,412) here;
+    before the closure skipped the braid case, 1,009 (512) and 6,302
+    (1,762).  The scan scores candidates per irreducible: of the 1,097
+    inserts (580 accepted), 683 (442) are per-irreducible rows and 120
+    (13) rank the expansion matrix for the kernel multiplicities; orbit
+    trials in the span itself made 895 (512)."""
     calls = count_inserts(monkeypatch)
     T = TEMPLATES
     rep = new_identities([T["f"], T["wa"], T["hbar"], T["ibar"]], 4)
     assert rep["new_dim"] == 2
-    assert (len(calls), sum(calls)) == (895, 512)
+    assert (len(calls), sum(calls)) == (1097, 580)
     calls.clear()
     a, b, c = (TermPoly.var(x) for x in "abc")
     bicommutativity = [mnode(mnode(a, b), c) - mnode(mnode(a, c), b),
@@ -398,11 +404,13 @@ def trial_loop_new_identities(known, n):
 
 def orbit_gains(pivot_rows, kb, n):
     """Every candidate's gain as new_identities scores it, from the span
-    with the given pivot rows."""
-    red = SpanReducer()
-    red.pivot_rows = dict(pivot_rows)
-    actions = _DegreeSpace(n, "b").transpositions
-    return [_orbit_span(red, v, actions, len(kb)).dim - red.dim for v in kb]
+    with the given pivot rows: sum_λ d_λ (rank [R_λ; rho_λ(v)] - rank R_λ),
+    with R_λ built here from the span's own rows."""
+    _, caps = kernel_multiplicities(n)
+    spans = grow(n, list(pivot_rows.values()), caps)
+    assert dimension(n, spans) == len(pivot_rows)
+    return [dimension(n, grow(n, [_to_int_row(v)], caps, spans))
+            - len(pivot_rows) for v in kb]
 
 
 def seeded_known(rng, names):
