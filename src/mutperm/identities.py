@@ -12,7 +12,6 @@ fresh variable into each slot, then close under variable permutations.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 
 from .linalg import Matrix, SpanReducer, _to_int_row, kernel_basis, rref
@@ -216,11 +215,11 @@ def _lift_maps(low, space, d, kind):
             for p in lifted]
 
 
-def _close(red, transpositions, bound):
+def _close(red, transpositions):
     """Grow ``red`` to the smallest span that contains it and is closed
-    under S_n, or until ``red.dim`` reaches ``bound``.  ``transpositions``
-    must be the adjacent transpositions s_1, ..., s_{n-1} of S_n, in this
-    order, as callables on sparse vectors (``_DegreeSpace.transpositions``).
+    under S_n.  ``transpositions`` must be the adjacent transpositions
+    s_1, ..., s_{n-1} of S_n, in this order, as callables on sparse
+    vectors (``_DegreeSpace.transpositions``).
 
     A FIFO worklist applies the transpositions to every row, the rows
     already in ``red`` first; once the queue is empty the span is closed.
@@ -253,7 +252,7 @@ def _close(red, transpositions, bound):
     exactly the same rows in the same order.
     """
     queue = deque((vec, None, None) for vec in red.pivot_rows.values())
-    while queue and red.dim < bound:
+    while queue:
         vec, via, parent = queue.popleft()
         for j, act in enumerate(transpositions):
             if via is not None and (j == via or j <= via - 2
@@ -263,8 +262,15 @@ def _close(red, transpositions, bound):
                 # the accepted row is the newest pivot row
                 queue.append((next(reversed(red.pivot_rows.values())), j,
                               via))
-                if red.dim >= bound:
-                    break
+
+
+def _usable(identities, n, kind):
+    """``_multilinear_at_x`` of each identity; ValueError above degree n."""
+    _check_degree(n)
+    items = [_multilinear_at_x(it, kind) for it in identities]
+    if any(d > n for d, _ in items):
+        raise ValueError("identity degree exceeds target degree")
+    return items
 
 
 def _degrees(identities, n, kind):
@@ -272,10 +278,7 @@ def _degrees(identities, n, kind):
     are none) to n: d, the ``_DegreeSpace`` of degree d, the
     ``_lift_maps`` into it from degree d-1 (none at the first d) and the
     vectors of the identities of degree d."""
-    _check_degree(n)
-    items = [_multilinear_at_x(it, kind) for it in identities]
-    if any(d > n for d, _ in items):
-        raise ValueError("identity degree exceeds target degree")
+    items = _usable(identities, n, kind)
     space = None
     for d in range(min((d for d, _ in items), default=n), n + 1):
         low, space = space, _DegreeSpace(d, kind)
@@ -284,38 +287,33 @@ def _degrees(identities, n, kind):
                                 for deg, p in items if deg == d]
 
 
-def _consequences(identities, n, kind, cap):
-    """The reducer of the degree-n consequence span (see
-    ``consequence_span``), closed under S_n unless ``cap`` stopped it,
+def _consequences(identities, n, kind):
+    """The reducer of the degree-n ``consequence_span``, closed under S_n,
     and the ``_DegreeSpace`` of its columns."""
     rows = []
-    for d, space, lifts, vecs in _degrees(identities, n, kind):
-        gens = itertools.chain(
-            vecs,
-            ({m[i]: c for i, c in row.items()} for row in rows for m in lifts))
+    for _, space, lifts, vecs in _degrees(identities, n, kind):
         reducer = SpanReducer()
-        bound = cap if d == n and cap is not None else math.inf
-        for vec in gens:
-            if reducer.dim >= bound:
-                break
+        for vec in itertools.chain(
+                vecs,
+                ({m[i]: c for i, c in row.items()}
+                 for row in rows for m in lifts)):
             reducer.insert(vec)
-        _close(reducer, space.transpositions, bound)
+        _close(reducer, space.transpositions)
         rows = [reducer.pivot_rows[c] for c in sorted(reducer.pivot_rows)]
     return reducer, space
 
 
-def consequence_span(identities, n, kind="b", cap=None):
+def consequence_span(identities, n, kind="b"):
     """Span of all multilinear degree-n T-ideal consequences.
 
     ``identities`` is a list of Templates or multilinear TermPolys.  The
     result is the span's primitive integer echelon rows in pivot order, as
     sparse vectors over the degree-n magmatic basis (use
-    ``magmatic_basis(n, kind)`` for the column meaning).  ``cap`` stops
-    growth once the dimension is known to be reached (callers must
-    justify the bound).  Raises ValueError for an identity that is not
-    multilinear or has nodes of another kind.
+    ``magmatic_basis(n, kind)`` for the column meaning).  Raises
+    ValueError for an identity that is not multilinear or has nodes of
+    another kind.
     """
-    red, _ = _consequences(identities, n, kind, cap)
+    red, _ = _consequences(identities, n, kind)
     return [red.pivot_rows[c] for c in sorted(red.pivot_rows)]
 
 
@@ -346,40 +344,42 @@ def new_identities(known, n):
     """Compare the full identity space at degree n with the consequences
     of ``known``.
 
-    Returns {kernel_dim, consequence_dim, new_dim, representatives}.
-    ``new_dim`` is the size of a greedy generating set of new identities:
-    their orbits under variable permutations, together with the
-    consequences of ``known``, span the kernel at this degree.  One
-    degree-n identity contributes its whole orbit, so the set is smaller
-    than the dimension gap in general.  The generators are chosen greedily,
-    which is deterministic: in each round every kernel basis vector v is
-    scored by its gain, the dimension its orbit adds to the current span R,
-    and the first vector of largest gain wins; its residue modulo R is the
-    representative, and its orbit joins R.  The gain is read off per
-    irreducible λ of S_n (``consequences_per_lambda``): it is
-    sum_λ d_λ (rank [R_λ; rho_λ(v)] - rank R_λ), R_λ being the span of
-    R's part at λ.  ``representatives`` lists the winners.  A greedy set
-    need not be a smallest one, so ``new_dim`` is an upper bound on the
-    number of new generators needed.
-    Raises ValueError (with a witness) if some known candidate is not an
-    identity of mutations of perm algebras.
+    Returns {kernel_dim, consequence_dim, new_dim, representatives}, with
+    dim K and the multiplicities m_λ(K) of the irreducibles of S_n in the
+    kernel K from ``kernel_multiplicities`` (exact).  ``consequence_dim``
+    is sum_λ d_λ dim R_λ over ``consequences_per_lambda`` capped at
+    m_λ(K).  Its generators are consequences, which lie in K, so dim R_λ
+    is at most the multiplicity of λ in the consequences, itself at most
+    m_λ(K); a sum equal to dim K proves that they span K, and then nothing
+    more is built.  Otherwise the direct consequence span R
+    (``_consequences``) is built for the residues, and each round raises
+    RuntimeError unless the sum equals dim R.  ``new_dim`` counts a greedy
+    set of new identities whose orbits span K with the consequences.  In
+    each round every kernel basis vector v is scored by its gain, the
+    dimension its orbit adds to R, read off per irreducible as
+    sum_λ d_λ (rank [R_λ; rho_λ(v)] - rank R_λ); the first vector of
+    largest gain wins, its residue modulo R joins ``representatives`` and
+    its orbit joins R.  A greedy set need not be a smallest one, so
+    ``new_dim`` bounds the number of new generators needed from above.
+    Raises ValueError before anything is built for a degree out of range
+    and for a known identity that ``_usable`` refuses or (with a witness)
+    that does not vanish in mutations of perm algebras.
     """
-    for it in known:
-        val = expand(_as_poly_at_x(it))
+    for it, (_, poly) in zip(known, _usable(known, n, "b")):
+        val = expand(poly)
         if val:
             name = it.name if isinstance(it, Template) else str(it)
             raise ValueError(f"not an identity: {name}; expansion {val}")
 
     expansion = _expansion(n)
-    kb = kernel_basis(expansion[0].transpose())
-    kdim = len(kb)
-    # consequences of vanishing identities always lie in the kernel, so
-    # the kernel dimension is a sound growth cap
-    red, space = _consequences(known, n, "b", kdim)
-    cdim = red.dim
+    kdim, caps = kernel_multiplicities(n, expansion)
+    spans = consequences_per_lambda(known, n, caps)
+    cdim = dimension(n, spans)
 
     representatives = []
     if cdim < kdim:
+        kb = kernel_basis(expansion[0].transpose())
+        red, space = _consequences(known, n, "b")
         orbit = [space.action(sigma)
                  for sigma in itertools.permutations(range(n))]
         # R = red is closed under variable permutations, and stays so after
@@ -388,10 +388,8 @@ def new_identities(known, n):
         # reaches kdim ends the round.  The gain dim S_n v - dim(S_n v ∩ R)
         # cannot grow with R, so a candidate's last gain bounds its gain
         # now, and one whose bound cannot beat the best gain is skipped.
-        _, caps = kernel_multiplicities(n, expansion)
         candidates = [_to_int_row(v) for v in kb]
         bounds = [kdim] * len(kb)
-        spans = consequences_per_lambda(known, n, caps)
         while True:
             if dimension(n, spans) != red.dim:
                 raise RuntimeError(f"per-irreducible dimension "
@@ -430,5 +428,5 @@ def tideal_membership(target, defining, kind="m"):
     bicommutative algebras).
     """
     n, poly = _multilinear_at_x(target, kind)
-    red, space = _consequences(defining, n, kind, None)
+    red, space = _consequences(defining, n, kind)
     return red.contains(poly_to_vec(poly, space.index))

@@ -17,14 +17,12 @@ import time
 from fractions import Fraction
 
 from . import findim, speciality
-from .identities import (consequence_span, consequences_per_lambda,
-                         identity_kernel, kernel_multiplicities,
-                         magmatic_basis, new_identities, tideal_membership)
+from .identities import (consequence_span, identity_kernel, magmatic_basis,
+                         new_identities, tideal_membership)
 from .linalg import Matrix, kernel_basis, rref
 from .mutation import (check_relations, enumerate_B, expand,
                        is_mutation_element, verify_basis_B)
 from .perm import Elt, commutator, multilinear_monomials
-from .symmetric import dimension
 from .terms import TEMPLATES, TermPoly, bnode, mnode, multilinearize
 
 
@@ -219,22 +217,11 @@ def check_degree4_new_identities():
 
 
 def check_degree5_closure():
-    """The six identities close the degree-5 kernel K, decided per
-    irreducible λ of S_5 (``consequences_per_lambda``).
-
-    The verdict is sound with any caps.  The generators are consequences,
-    and each per-λ count is at most the true multiplicity of λ in the
-    consequences, which is at most m_λ(K) as the consequences lie in K.
-    So the d_λ-weighted sum of the counts is at most the dimension of the
-    consequence span, and a sum equal to dim K (rows minus the rank of
-    the expansion matrix, exact) proves that the consequences span K.
-    The caps m_λ(K) come from the image character
-    (``kernel_multiplicities``) and only let each λ stop early.
-    """
+    """The six identities close the degree-5 kernel (``new_identities``)."""
     T = TEMPLATES
     six = [T["f"], T["wa"], T["hbar"], T["ibar"], T["conj4a"], T["conj4b"]]
-    kdim, caps = kernel_multiplicities(5)
-    cons = dimension(5, consequences_per_lambda(six, 5, caps))
+    rep = new_identities(six, 5)
+    kdim, cons = rep["kernel_dim"], rep["consequence_dim"]
     if cons != kdim:
         return False, f"consequences span {cons} of kernel {kdim}"
     return True, f"six identities span the full degree-5 kernel (dim {kdim})"

@@ -12,9 +12,9 @@ BUDGETS = {
     "mutation-elements": 5,
     "basis-B": 2,
     "vanishing-identities": 5,
-    "degree3-identities": 10,
+    "degree3-identities": 1,
     "counterexample-algebra": 1,
-    "degree4-new-identities": 2,
+    "degree4-new-identities": 0.5,
     "degree5-closure": 1.2,
     "cohn-certificate": 5,
     "lie-admissibility": 5,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import mutperm
+from mutperm import identities
 from mutperm.cli import main
 from mutperm.verify import _prop35
 from mutperm.findim import dump_algebra
@@ -69,12 +70,24 @@ def test_identities_unknown_template(capsys):
     assert code == 2 and "unknown template" in err
 
 
-@pytest.mark.parametrize("known,reason", [
+UNUSABLE = [
     ("jordan", "identity jordan is not multilinear; polarize it first"),
     ("f,crit36", "identity crit36 has product nodes; this scan uses brackets"),
-])
-def test_identities_unusable_known_identity_exits_2(capsys, known, reason):
-    code, out, err = run(capsys, "identities", "--degree", "4",
+]
+
+
+@pytest.mark.parametrize("degree,known,reason", [
+    pytest.param(degree, known, reason,
+                 id=f"{known}-{reason}" if degree == "4" else f"6-{known}")
+    for degree in ("4", "6") for known, reason in UNUSABLE])
+def test_identities_unusable_known_identity_exits_2(capsys, monkeypatch,
+                                                    degree, known, reason):
+    """Refused before the expansion is built (degree 6 took seconds)."""
+    def refuse(n):
+        raise AssertionError(f"degree-{n} expansion built before the checks")
+
+    monkeypatch.setattr(identities, "_expansion", refuse)
+    code, out, err = run(capsys, "identities", "--degree", degree,
                          "--known", known)
     assert code == 2 and out == ""
     assert err.strip().splitlines() == [f"error: {reason}"]
@@ -343,6 +356,16 @@ def test_identities_degree4_record_is_pinned(capsys):
                        "--degree", "4", "--known", "f,wa,hbar,ibar")
     assert code == 0
     assert json.loads(out)["results"] == DEGREE4_RESULTS
+
+
+def test_identities_degree5_closure_record_is_pinned(capsys):
+    code, out, _ = run(capsys, "--format", "record", "identities",
+                       "--degree", "5", "--known",
+                       "f,wa,hbar,ibar,conj4a,conj4b")
+    assert code == 0
+    assert json.loads(out)["results"] == {
+        "kernel_dim": 1659, "consequence_dim": 1659, "new_dim": 0,
+        "representatives": []}
 
 
 def _limit_memory():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mutperm import identities
 from mutperm.identities import (_DegreeSpace, _as_poly_at_x, _lift_maps,
                                 consequence_span, expansion_matrix,
                                 identity_kernel, kernel_multiplicities,
@@ -320,18 +321,6 @@ def test_consequence_span_degree4_frozen_dims():
         [T["f"], T["wa"], T["conj4a"], T["conj4b"]], 4)) == 107
 
 
-@pytest.mark.parametrize("cap", [0, 1, 17, 87])
-def test_consequence_span_cap_returns_cap_rows_of_the_span(cap):
-    known = [TEMPLATES["f"], TEMPLATES["wa"]]
-    full = SpanReducer()
-    for v in consequence_span(known, 4):
-        full.insert(v)
-    assert full.dim == 88
-    capped = consequence_span(known, 4, cap=cap)
-    assert len(capped) == cap
-    assert all(full.contains(v) for v in capped)
-
-
 def test_new_identities_degree3():
     rep = new_identities([TEMPLATES["f"], TEMPLATES["wa"]], 3)
     assert rep["kernel_dim"] == 5
@@ -465,6 +454,40 @@ def test_new_identities_against_trial_loop_seeded(seed):
         assert_same_report(new_identities(known, n), want)
         for pivot_rows, gains in rounds[:1]:
             assert orbit_gains(pivot_rows, kb, n) == gains
+
+
+def dims(report):
+    return (report["kernel_dim"], report["consequence_dim"],
+            report["new_dim"], report["representatives"])
+
+
+def test_closed_scans_never_build_the_direct_span(monkeypatch):
+    """When the per-irreducible dimension of the consequences reaches the
+    kernel's, the scan is decided without the direct consequence span."""
+    def refuse(*args):
+        raise AssertionError("the direct consequence span was built")
+
+    monkeypatch.setattr(identities, "_consequences", refuse)
+    six = [TEMPLATES[name] for name in KNOWN4 + ("conj4a", "conj4b")]
+    assert dims(new_identities(six, 4)) == (107, 107, 0, [])
+    assert dims(new_identities([TEMPLATES["f"], TEMPLATES["wa"]], 3)) == \
+        (5, 5, 0, [])
+
+
+def test_new_identities_checks_the_per_irreducible_dimension(monkeypatch):
+    """Per-irreducible spans that miss a module generator (here the first,
+    hbar) disagree with the direct span R, and the scan raises."""
+    grow_spans = identities.grow
+
+    def drop_first_generator(n, vectors, caps, spans=None):
+        if spans is None:
+            vectors = vectors[1:]
+        return grow_spans(n, vectors, caps, spans)
+
+    monkeypatch.setattr(identities, "grow", drop_first_generator)
+    with pytest.raises(RuntimeError, match="dimension 91 differs from the "
+                                           "span's 92"):
+        new_identities([TEMPLATES[name] for name in KNOWN4], 4)
 
 
 def test_new_identities_rejects_non_identity():

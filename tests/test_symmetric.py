@@ -90,6 +90,8 @@ def test_kernel_multiplicities_pinned():
     assert kernel_multiplicities(3) == (5, [1, 1, 2])
     assert kernel_multiplicities(4) == (107, [4, 11, 10, 15, 5])
     assert kernel_multiplicities(5) == (1659, [13, 51, 70, 84, 70, 56, 14])
+    assert kernel_multiplicities(6) == (
+        30209, [41, 204, 378, 420, 210, 672, 420, 210, 378, 210, 42])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
