@@ -80,6 +80,9 @@ def _known_templates(spec):
 
 def cmd_identities(args):
     t0 = time.monotonic()
+    if args.paper_order and args.degree != 3:
+        raise CliError(f"--paper-order applies only to --degree 3, "
+                       f"not {args.degree}")
     known = _known_templates(args.known)
     rep = new_identities(known, args.degree)
     results = {
@@ -88,7 +91,7 @@ def cmd_identities(args):
         "new_dim": rep["new_dim"],
         "representatives": [render(p) for p in rep["representatives"]],
     }
-    if args.paper_order and args.degree == 3:
+    if args.paper_order:
         mat = permutation_matrix_deg3()
         results["columns"] = " ".join(render(TermPoly.term(t))
                                       for t in magmatic_basis(3))
@@ -160,40 +163,36 @@ def cmd_findim(args):
         raise CliError(f"--p and --q do not apply to --check {check}")
     if mutated and (args.p is None or args.q is None):
         raise CliError("--p and --q go together; give both or neither")
+    if check == "mutate" and not (args.p and args.q):
+        raise CliError("mutate requires --p and --q vectors")
+    # the criterion is the crit36 identity of the algebra's own product
+    template = TEMPLATES.get("crit36" if check == "criterion" else check)
+    if template is None and check not in ("jacobi", "mutate"):
+        raise CliError(f"unknown check {check!r}; use an identity name, "
+                       f"'criterion', 'jacobi' or 'mutate'")
+    p = q = None
+    if mutated:
+        p = _parse_vector(args.p, a.dim)
+        q = _parse_vector(args.q, a.dim)
     if check == "jacobi":
         ok, w = findim.jacobi_test(a)
         results = {"verdict": "yes" if ok else "no",
                    "witness": None if ok else
                    [a.names[i] for i in w]}
-    elif check == "criterion":
-        ok, w = findim.lie_admissible_criterion(a)
-        results = {"verdict": "yes" if ok else "no",
-                   "witness": None if ok else
-                   ([a.names[i] for i in w[0]], a.vec_str(w[1]))}
     elif check == "mutate":
-        if not (args.p and args.q):
-            raise CliError("mutate requires --p and --q vectors")
-        p = _parse_vector(args.p, a.dim)
-        q = _parse_vector(args.q, a.dim)
         m = findim.mutation_algebra(a, p, q)
         doc = json.loads(findim.dump_algebra(m))
         doc["table"] = [" ".join(str(x) for x in entry)
                         for entry in doc["table"]]
         results = doc
-    elif check in TEMPLATES:
-        p = q = None
+    else:
         if mutated:
             # the identity is checked on the (p,q)-mutation of the algebra
-            p = _parse_vector(args.p, a.dim)
-            q = _parse_vector(args.q, a.dim)
             inputs.update(p=args.p, q=args.q)
-        ok, w = findim.satisfies(a, TEMPLATES[check], p, q)
+        ok, w = findim.satisfies(a, template, p, q)
         results = {"verdict": "yes" if ok else "no",
                    "witness": None if ok else
                    ([a.names[i] for i in w[0]], a.vec_str(w[1]))}
-    else:
-        raise CliError(f"unknown check {check!r}; use an identity name, "
-                       f"'criterion', 'jacobi' or 'mutate'")
     code = 0 if results.get("verdict", "yes") == "yes" or check == "mutate" \
         else 1
     return _report("findim", inputs, results, t0), code
@@ -229,8 +228,8 @@ def build_parser():
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--known", default="")
     p.add_argument("--paper-order", action="store_true",
-                   help="include the degree-3 permutation matrix in the "
-                        "preset column order")
+                   help="with --degree 3, add the 12x12 permutation "
+                        "matrix of f and wa in the preset column order")
     p.set_defaults(fn=cmd_identities)
 
     p = sub.add_parser("cohn", help="exceptional-image certificate")

@@ -46,24 +46,16 @@ def _frac_list(coords, dim):
 
 
 class FiniteAlgebra:
-    """Structure-constants algebra over the rationals."""
+    """Structure-constants algebra over the rationals; it starts from the
+    zero table, which callers fill in."""
 
-    def __init__(self, dim, names=None, table=None):
+    def __init__(self, dim, names=None):
         self.dim = dim
         self.names = list(names) if names else [f"e{i + 1}" for i in range(dim)]
         if len(self.names) != dim:
             raise ValueError("names length does not match dim")
-        if table is None:
-            table = [[[Fraction(0)] * dim for _ in range(dim)]
-                     for _ in range(dim)]
-        else:
-            table = [[[Fraction(c) for c in row] for row in plane]
-                     for plane in table]
-            if (len(table) != dim
-                    or any(len(plane) != dim for plane in table)
-                    or any(len(row) != dim for plane in table for row in plane)):
-                raise ValueError("table is not dim x dim x dim")
-        self.table = table
+        self.table = [[[Fraction(0)] * dim for _ in range(dim)]
+                      for _ in range(dim)]
 
     def zero(self):
         return [Fraction(0)] * self.dim

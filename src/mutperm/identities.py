@@ -18,8 +18,8 @@ from .linalg import Matrix, SpanReducer, _to_int_row, kernel_basis, rref
 from .mutation import _expander, _rename, bracket_monomials, expand
 from .perm import monomial_index
 from .symmetric import dimension, grow, irreps, multiplicities
-from .terms import (MAX_MAGMATIC, Template, TermPoly, _combine,
-                    _magmatic_count, substitute, term_vars)
+from .terms import (MAX_MAGMATIC, Template, TermPoly, _magmatic_count, bnode,
+                    fold, substitute, term_vars)
 
 
 def _check_degree(n):
@@ -38,7 +38,7 @@ def _xnames(n):
     return [f"x{i}" for i in range(1, n + 1)]
 
 
-def magmatic_basis(n, kind="b"):
+def magmatic_basis(n):
     """Ordered multilinear magmatic monomials of degree n (as terms).
 
     Shapes are enumerated with the smaller left factor first and variable
@@ -47,7 +47,7 @@ def magmatic_basis(n, kind="b"):
     Raises ValueError below degree 1 or above MAX_MAGMATIC monomials.
     """
     _check_degree(n)
-    return bracket_monomials(dict.fromkeys(_xnames(n), 1), kind)
+    return bracket_monomials(dict.fromkeys(_xnames(n), 1))
 
 
 def _expansion(n):
@@ -153,9 +153,11 @@ def _only_kind(t, kind):
 
 
 def _multilinear_at_x(item, kind):
-    """(n, ``item`` at x1..xn) for an identity whose terms all lie in the
-    degree-n magmatic basis of ``kind``, n its number of variables;
-    raises ValueError naming the identity and the reason otherwise."""
+    """(n, ``item`` at x1..xn with every inner node relabelled 'b') for an
+    identity whose terms all lie in the degree-n magmatic basis of
+    ``kind``, n its number of variables; raises ValueError naming the
+    identity and the reason otherwise.  No scan reads a node's label, so
+    they all run on bracket trees, whichever kind they were given."""
     poly = _as_poly_at_x(item)
     name = item.name if isinstance(item, Template) else str(item)
     n = len(poly.variables())
@@ -167,7 +169,8 @@ def _multilinear_at_x(item, kind):
     if any(term_vars(t) != dict.fromkeys(_xnames(n), 1) for t in poly.terms):
         raise ValueError(f"identity {name} is not multilinear; "
                          f"polarize it first")
-    return n, poly
+    relabel = fold(lambda name: ("v", name), lambda _, a, b: ("b", a, b))
+    return n, TermPoly({relabel(t): c for t, c in poly.terms.items()})
 
 
 class _DegreeSpace:
@@ -176,8 +179,8 @@ class _DegreeSpace:
     renaming x_i -> x_sigma(i) keeps the shape and sends the word w to
     sigma o w, so an action is a table on the n! words."""
 
-    def __init__(self, n, kind):
-        self.basis = magmatic_basis(n, kind)
+    def __init__(self, n):
+        self.basis = magmatic_basis(n)
         self.index = {t: i for i, t in enumerate(self.basis)}
         self._words = list(itertools.permutations(range(n)))
         self._rank = {w: r for r, w in enumerate(self._words)}
@@ -198,7 +201,7 @@ class _DegreeSpace:
         return lambda v: {colmap[i]: c for i, c in v.items()}
 
 
-def _lift_maps(low, space, d, kind):
+def _lift_maps(low, space, d):
     """Column maps, from the degree-(d-1) basis ``low`` into ``space``, of
     the one-step T-ideal liftings of g: with y = x_d, (g, y) and (y, g),
     then g at x_i -> (x_i, y) and at x_i -> (y, x_i) for i < d.  Each
@@ -206,10 +209,10 @@ def _lift_maps(low, space, d, kind):
     the basis terms with coefficients 1, 2, ... gives the map."""
     y = TermPoly.var(f"x{d}")
     numbered = TermPoly({t: k for k, t in enumerate(low, 1)})
-    lifted = [_combine(kind, numbered, y), _combine(kind, y, numbered)]
+    lifted = [bnode(numbered, y), bnode(y, numbered)]
     for i in range(1, d):
         xi = TermPoly.var(f"x{i}")
-        for sub in (_combine(kind, xi, y), _combine(kind, y, xi)):
+        for sub in (bnode(xi, y), bnode(y, xi)):
             lifted.append(substitute(numbered, {f"x{i}": sub}))
     return [[space.index[t] for t in sorted(p.terms, key=p.terms.get)]
             for p in lifted]
@@ -264,7 +267,7 @@ def _close(red, transpositions):
                               via))
 
 
-def _usable(identities, n, kind):
+def _usable(identities, n, kind="b"):
     """``_multilinear_at_x`` of each identity; ValueError above degree n."""
     _check_degree(n)
     items = [_multilinear_at_x(it, kind) for it in identities]
@@ -273,25 +276,25 @@ def _usable(identities, n, kind):
     return items
 
 
-def _degrees(identities, n, kind):
-    """For each d from the least degree of the ``identities`` (n if there
-    are none) to n: d, the ``_DegreeSpace`` of degree d, the
-    ``_lift_maps`` into it from degree d-1 (none at the first d) and the
-    vectors of the identities of degree d."""
-    items = _usable(identities, n, kind)
+def _degrees(items, n):
+    """For each d from the least degree of the ``_usable`` identities
+    ``items`` (n if there are none) to n: d, the ``_DegreeSpace`` of
+    degree d, the ``_lift_maps`` into it from degree d-1 (none at the
+    first d) and the vectors of the identities of degree d."""
     space = None
     for d in range(min((d for d, _ in items), default=n), n + 1):
-        low, space = space, _DegreeSpace(d, kind)
-        lifts = [] if low is None else _lift_maps(low.basis, space, d, kind)
+        low, space = space, _DegreeSpace(d)
+        lifts = [] if low is None else _lift_maps(low.basis, space, d)
         yield d, space, lifts, [poly_to_vec(p, space.index)
                                 for deg, p in items if deg == d]
 
 
-def _consequences(identities, n, kind):
-    """The reducer of the degree-n ``consequence_span``, closed under S_n,
-    and the ``_DegreeSpace`` of its columns."""
+def _consequences(items, n):
+    """The reducer of the degree-n ``consequence_span`` of the ``_usable``
+    identities ``items``, closed under S_n, and the ``_DegreeSpace`` of
+    its columns."""
     rows = []
-    for _, space, lifts, vecs in _degrees(identities, n, kind):
+    for _, space, lifts, vecs in _degrees(items, n):
         reducer = SpanReducer()
         for vec in itertools.chain(
                 vecs,
@@ -303,17 +306,16 @@ def _consequences(identities, n, kind):
     return reducer, space
 
 
-def consequence_span(identities, n, kind="b"):
+def consequence_span(identities, n):
     """Span of all multilinear degree-n T-ideal consequences.
 
-    ``identities`` is a list of Templates or multilinear TermPolys.  The
-    result is the span's primitive integer echelon rows in pivot order, as
-    sparse vectors over the degree-n magmatic basis (use
-    ``magmatic_basis(n, kind)`` for the column meaning).  Raises
-    ValueError for an identity that is not multilinear or has nodes of
-    another kind.
+    ``identities`` is a list of Templates or multilinear TermPolys over
+    the bracket.  The result is the span's primitive integer echelon rows
+    in pivot order, as sparse vectors over the degree-n magmatic basis
+    (use ``magmatic_basis(n)`` for the column meaning).  Raises ValueError
+    for an identity that is not multilinear or has product nodes.
     """
-    red, _ = _consequences(identities, n, kind)
+    red, _ = _consequences(_usable(identities, n), n)
     return [red.pivot_rows[c] for c in sorted(red.pivot_rows)]
 
 
@@ -334,7 +336,7 @@ def consequences_per_lambda(identities, n, caps):
     lie in the module the lifts of its generators generate.
     """
     gens = []
-    for _, _, lifts, vecs in _degrees(identities, n, "b"):
+    for _, _, lifts, vecs in _degrees(_usable(identities, n), n):
         gens = [_to_int_row(v) for v in vecs] + [
             {m[i]: c for i, c in g.items()} for g in gens for m in lifts]
     return grow(n, gens, caps)
@@ -365,7 +367,8 @@ def new_identities(known, n):
     and for a known identity that ``_usable`` refuses or (with a witness)
     that does not vanish in mutations of perm algebras.
     """
-    for it, (_, poly) in zip(known, _usable(known, n, "b")):
+    items = _usable(known, n)
+    for it, (_, poly) in zip(known, items):
         val = expand(poly)
         if val:
             name = it.name if isinstance(it, Template) else str(it)
@@ -379,7 +382,7 @@ def new_identities(known, n):
     representatives = []
     if cdim < kdim:
         kb = kernel_basis(expansion[0].transpose())
-        red, space = _consequences(known, n, "b")
+        red, space = _consequences(items, n)
         orbit = [space.action(sigma)
                  for sigma in itertools.permutations(range(n))]
         # R = red is closed under variable permutations, and stays so after
@@ -424,9 +427,10 @@ def tideal_membership(target, defining, kind="m"):
 
     ``target`` must be multilinear; its variables are canonicalized to
     x1..xn in sorted order.  ``defining`` are templates/polynomials over
-    the same product kind ('m' for ordinary-product varieties such as
-    bicommutative algebras).
+    the same node kind ('m' for ordinary-product varieties such as
+    bicommutative algebras, 'b' for the bracket); both are checked for it
+    and then relabelled to bracket polynomials, which the scan runs on.
     """
     n, poly = _multilinear_at_x(target, kind)
-    red, space = _consequences(defining, n, kind)
+    red, space = _consequences(_usable(defining, n, kind), n)
     return red.contains(poly_to_vec(poly, space.index))

@@ -137,16 +137,15 @@ def tree_shapes(n):
     return out
 
 
-def _tree_term(shape, leaves, kind="b"):
+def _tree_term(shape, leaves):
     if shape is None:
         return ("v", leaves[0])
     k, left, right = shape
-    return (kind, _tree_term(left, leaves[:k], kind),
-            _tree_term(right, leaves[k:], kind))
+    return ("b", _tree_term(left, leaves[:k]), _tree_term(right, leaves[k:]))
 
 
-def bracket_monomials(multidegree, kind="b"):
-    """All monomials (as terms with ``kind`` nodes) of an x-multidegree."""
+def bracket_monomials(multidegree):
+    """All bracket monomials (as terms) of an x-multidegree."""
     letters = []
     for name in sorted(multidegree, key=gkey):
         letters.extend([name] * multidegree[name])
@@ -162,7 +161,7 @@ def bracket_monomials(multidegree, kind="b"):
     out = []
     for shape in tree_shapes(n):
         for arr in arrangements:
-            out.append(_tree_term(shape, list(arr), kind))
+            out.append(_tree_term(shape, list(arr)))
     return out
 
 

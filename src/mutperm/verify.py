@@ -17,8 +17,9 @@ import time
 from fractions import Fraction
 
 from . import findim, speciality
-from .identities import (consequence_span, identity_kernel, magmatic_basis,
-                         new_identities, tideal_membership)
+from .identities import (_DegreeSpace, consequence_span, identity_kernel,
+                         magmatic_basis, new_identities, poly_to_vec,
+                         tideal_membership)
 from .linalg import Matrix, kernel_basis, rref
 from .mutation import (check_relations, enumerate_B, expand,
                        is_mutation_element, verify_basis_B)
@@ -137,17 +138,14 @@ PAPER_MATRIX_3 = [
 
 def permutation_matrix_deg3():
     """The 12 x 12 coefficient matrix of all variable permutations of f
-    and wa over the degree-3 magmatic column order."""
-    basis = magmatic_basis(3)
-    index = {t: i for i, t in enumerate(basis)}
-    names = ["x1", "x2", "x3"]
-    rows = []
-    for tname in ("f", "wa"):
-        t = TEMPLATES[tname]
-        for perm in itertools.permutations(names):
-            poly = t.instantiate(list(perm))
-            rows.append({index[m]: c for m, c in poly.terms.items()})
-    return Matrix(rows, len(basis))
+    and wa over the degree-3 magmatic column order: f's six rows, then
+    wa's, each in ``itertools.permutations`` order of the renamings."""
+    space = _DegreeSpace(3)
+    vecs = [poly_to_vec(TEMPLATES[name].instantiate(["x1", "x2", "x3"]),
+                        space.index) for name in ("f", "wa")]
+    return Matrix([space.action(sigma)(v) for v in vecs
+                   for sigma in itertools.permutations(range(3))],
+                  len(space.basis))
 
 
 def check_degree3_theorem():

@@ -9,16 +9,16 @@ from mutperm.verify import run_all
 BUDGETS = {
     "degree3-expansions": 1,
     "bracket-relations": 1,
-    "mutation-elements": 5,
+    "mutation-elements": 3.5,
     "basis-B": 2,
-    "vanishing-identities": 5,
+    "vanishing-identities": 0.5,
     "degree3-identities": 1,
     "counterexample-algebra": 1,
     "degree4-new-identities": 0.5,
     "degree5-closure": 1.2,
-    "cohn-certificate": 5,
-    "lie-admissibility": 5,
-    "infrastructure": 60,
+    "cohn-certificate": 0.5,
+    "lie-admissibility": 2.5,
+    "infrastructure": 1,
 }
 
 DETAILS = {

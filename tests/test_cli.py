@@ -120,6 +120,19 @@ def test_identities_paper_order_matrix(capsys):
     assert "<x1,<x2,x3>>" in out
 
 
+@pytest.mark.parametrize("degree", ["2", "4", "6"])
+def test_identities_paper_order_outside_degree_3_exits_2(capsys, degree):
+    """The matrix exists only at degree 3, so the flag is refused there
+    before anything is built (degree 6 would not finish otherwise)."""
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "identities", "--degree", degree,
+                         "--known", "f,wa", "--paper-order")
+    assert time.monotonic() - t0 < 1
+    assert code == 2 and out == ""
+    assert "--paper-order" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cohn_default(capsys):
     code, out, _ = run(capsys, "cohn")
     assert code == 0

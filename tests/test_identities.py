@@ -15,8 +15,9 @@ from mutperm.linalg import (Matrix, SpanReducer, _to_int_row, kernel_basis,
 from mutperm.mutation import expand
 from mutperm.perm import mono_key
 from mutperm.symmetric import dimension, grow
-from mutperm.terms import (TEMPLATES, TermPoly, _combine, bnode, mnode,
-                           multilinearize, parse, rename_leaves, substitute)
+from mutperm.terms import (TEMPLATES, TermPoly, bnode, mnode,
+                           multilinearize, parse, rename_leaves, substitute,
+                           term_vars)
 from mutperm.verify import PAPER_MATRIX_3, permutation_matrix_deg3
 
 
@@ -82,15 +83,14 @@ def test_expansion_matrix_rows_are_expansions(n):
         assert list(mat.rows[i].items()) == want
 
 
-@pytest.mark.parametrize("kind", ["b", "m"])
-def test_degree_space_maps_match_leaf_renaming(kind):
+def test_degree_space_maps_match_leaf_renaming():
     """The index-table actions equal renaming the leaves of every term:
     the transpositions for n <= 5, the whole orbit for n <= 4 and 20
     seeded permutations for n = 5."""
     rng = random.Random(5)
     for n in range(1, 6):
-        space = _DegreeSpace(n, kind)
-        basis = magmatic_basis(n, kind)
+        space = _DegreeSpace(n)
+        basis = magmatic_basis(n)
         index = {t: i for i, t in enumerate(basis)}
         assert space.basis == basis and space.index == index
         names = [f"x{i}" for i in range(1, n + 1)]
@@ -109,23 +109,22 @@ def test_degree_space_maps_match_leaf_renaming(kind):
                                                           mapping)
 
 
-@pytest.mark.parametrize("kind", ["b", "m"])
-def test_lift_maps_match_substitution(kind):
+def test_lift_maps_match_substitution():
     """Lifting a vector through the column maps equals lifting its
     polynomial by substitution, term order included, for every basis
     term and for seeded polynomials, degrees 1 to 4 lifted by one."""
     rng = random.Random(4)
     for d in range(1, 5):
-        low = magmatic_basis(d, kind)
-        space = _DegreeSpace(d + 1, kind)
-        maps = _lift_maps(low, space, d + 1, kind)
+        low = magmatic_basis(d)
+        space = _DegreeSpace(d + 1)
+        maps = _lift_maps(low, space, d + 1)
         vecs = [{i: 1} for i in range(len(low))]
         vecs += [{i: rng.randint(-9, 9) or 1
                   for i in rng.sample(range(len(low)), min(len(low), 7))}
                  for _ in range(10)]
         for v in vecs:
             want = [poly_to_vec(p, space.index)
-                    for p in _lift_once(vec_to_poly(v, low), d, kind)]
+                    for p in _lift_once(vec_to_poly(v, low), d)]
             got = [{m[i]: c for i, c in v.items()} for m in maps]
             assert [list(w.items()) for w in want] == \
                 [list(g.items()) for g in got]
@@ -203,15 +202,15 @@ def test_consequence_span_degree4_against_brute_oracle():
         assert fast == slow
 
 
-def _lift_once(poly, d, kind):
-    """All one-step T-ideal liftings of a multilinear degree-d polynomial,
-    by substitution into the polynomial."""
+def _lift_once(poly, d):
+    """All one-step T-ideal liftings of a multilinear degree-d bracket
+    polynomial, by substitution into the polynomial."""
     new = TermPoly.var(f"x{d + 1}")
-    out = [_combine(kind, poly, new), _combine(kind, new, poly)]
+    out = [bnode(poly, new), bnode(new, poly)]
     for i in range(1, d + 1):
         xi = TermPoly.var(f"x{i}")
-        out.append(substitute(poly, {f"x{i}": _combine(kind, xi, new)}))
-        out.append(substitute(poly, {f"x{i}": _combine(kind, new, xi)}))
+        out.append(substitute(poly, {f"x{i}": bnode(xi, new)}))
+        out.append(substitute(poly, {f"x{i}": bnode(new, xi)}))
     return out
 
 
@@ -236,7 +235,7 @@ def fixed_point_consequence_span(identities, n):
         reducer = SpanReducer()
         gens = [p for deg, p in items if deg == d]
         for poly in prev_polys:
-            gens.extend(_lift_once(poly, d - 1, "b"))
+            gens.extend(_lift_once(poly, d - 1))
         for poly in gens:
             reducer.insert(poly_to_vec(poly, index))
         grew = True
@@ -508,6 +507,34 @@ def test_tideal_membership_basics():
     # with no defining identities only 0 follows
     assert not tideal_membership(assoc, [], kind="m")
     assert not tideal_membership(parse("<<a,b>,c>"), [], kind="b")
+
+
+def test_criterion_makes_every_mutation_lie_admissible():
+    """Criterion 11 for every algebra, not a sample: the Jacobiator of the
+    commutator of x o y = (x p) y - (y q) x splits by the degrees of p
+    and q into three parts, and each, polarized, is a T-ideal
+    consequence of crit36 over the ordinary product (and is not 0)."""
+    a, b, c, p, q = (TermPoly.var(n) for n in "abcpq")
+
+    def circ(x, y):
+        return mnode(mnode(x, p), y) - mnode(mnode(y, q), x)
+
+    def comm(u, v):
+        return circ(u, v) - circ(v, u)
+
+    jacobiator = (comm(comm(a, b), c) + comm(comm(b, c), a)
+                  + comm(comm(c, a), b))
+    parts = {}
+    for t, coeff in jacobiator.terms.items():
+        degrees = term_vars(t)
+        key = (degrees.get("p", 0), degrees.get("q", 0))
+        parts[key] = parts.get(key, TermPoly.zero()) + TermPoly.term(t, coeff)
+    assert {k: len(v.terms) for k, v in parts.items()} == \
+        {(2, 0): 12, (1, 1): 24, (0, 2): 12}
+    crit36 = [multilinearize(TEMPLATES["crit36"].body)]
+    for part in map(multilinearize, parts.values()):
+        assert tideal_membership(part, crit36, kind="m")
+        assert not tideal_membership(part, [], kind="m")
 
 
 def test_tideal_membership_rejects_nonlinear_target():
