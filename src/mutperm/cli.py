@@ -9,6 +9,7 @@ and prints it as text or as a JSON record (--format record).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -253,10 +254,14 @@ def build_parser():
     return ap
 
 
+# built on the first call of main, not at import; parse_args keeps no
+# state between calls, so one parser serves every call in the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return exc.code if exc.code in (0, 2) else 2

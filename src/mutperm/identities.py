@@ -218,11 +218,13 @@ def _lift_maps(low, space, d):
             for p in lifted]
 
 
-def _close(red, transpositions):
+def _close(red, transpositions, lifted):
     """Grow ``red`` to the smallest span that contains it and is closed
     under S_n.  ``transpositions`` must be the adjacent transpositions
     s_1, ..., s_{n-1} of S_n, in this order, as callables on sparse
-    vectors (``_DegreeSpace.transpositions``).
+    vectors (``_DegreeSpace.transpositions``).  ``lifted`` says that
+    ``red`` holds just the ``_lift_maps`` images of a degree-(n-1) span
+    closed under S_{n-1}.
 
     A FIFO worklist applies the transpositions to every row, the rows
     already in ``red`` first; once the queue is empty the span is closed.
@@ -250,16 +252,27 @@ def _close(red, transpositions):
     and s_{k+1} images lie in the span of rows accepted before r; so
     s_{k+1}(r) is a multiple of s_{k+1} s_k s_{k+1}(r'') = s_k s_{k+1}
     s_k(r''), and s_k(r'') was inserted (or skipped) before s_{k+1}(r''),
-    so it lies in the span of rows accepted before r'.  A skipped insert
-    would be rejected without changing any state, so skipping it accepts
-    exactly the same rows in the same order.
+    so it lies in the span of rows accepted before r'.
+
+    When ``lifted``, s_1, ..., s_{n-2} are skipped for the rows already
+    in ``red``.  Those rows span the lifts of a degree-(n-1) span W closed
+    under S_{n-1}, and s_j for j <= n-2 fixes x_n: renaming a lift of g
+    by a sigma that fixes x_n gives a lift of sigma(g) (the slot
+    x_i -> (x_i, x_n) moving to x_sigma(i)), and sigma(g) lies in W.  So
+    these images lie in the span of the rows already in ``red``, and the
+    induction above holds as before.  A skipped insert would be rejected
+    without changing any state, so skipping it accepts exactly the same
+    rows in the same order.
     """
+    last = len(transpositions) - 1
     queue = deque((vec, None, None) for vec in red.pivot_rows.values())
     while queue:
         vec, via, parent = queue.popleft()
         for j, act in enumerate(transpositions):
-            if via is not None and (j == via or j <= via - 2
-                                    or j == via + 1 == parent):
+            if via is None:
+                if lifted and j < last:
+                    continue
+            elif j == via or j <= via - 2 or j == via + 1 == parent:
                 continue
             if red.insert(act(vec)):
                 # the accepted row is the newest pivot row
@@ -301,7 +314,7 @@ def _consequences(items, n):
                 ({m[i]: c for i, c in row.items()}
                  for row in rows for m in lifts)):
             reducer.insert(vec)
-        _close(reducer, space.transpositions)
+        _close(reducer, space.transpositions, bool(lifts) and not vecs)
         rows = [reducer.pivot_rows[c] for c in sorted(reducer.pivot_rows)]
     return reducer, space
 
@@ -335,8 +348,14 @@ def consequences_per_lambda(identities, n, caps):
     degree-(n-1) span, which ``consequence_span`` inserts before closing,
     lie in the module the lifts of its generators generate.
     """
+    return _per_lambda(_usable(identities, n), n, caps)
+
+
+def _per_lambda(items, n, caps):
+    """``consequences_per_lambda`` of the ``_usable`` identities
+    ``items``."""
     gens = []
-    for _, _, lifts, vecs in _degrees(_usable(identities, n), n):
+    for _, _, lifts, vecs in _degrees(items, n):
         gens = [_to_int_row(v) for v in vecs] + [
             {m[i]: c for i, c in g.items()} for g in gens for m in lifts]
     return grow(n, gens, caps)
@@ -376,7 +395,7 @@ def new_identities(known, n):
 
     expansion = _expansion(n)
     kdim, caps = kernel_multiplicities(n, expansion)
-    spans = consequences_per_lambda(known, n, caps)
+    spans = _per_lambda(items, n, caps)
     cdim = dimension(n, spans)
 
     representatives = []

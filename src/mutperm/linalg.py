@@ -3,18 +3,27 @@
 Vectors are dicts mapping a column index (position in some ordered basis)
 to a nonzero int or Fraction.  Matrices are lists of such rows together
 with a column count.  Everything is exact: no floats, no tolerances.
-Pivoting is deterministic (earliest column, then smallest-magnitude
-pivot), so equal inputs always give identical output.
+Pivoting is deterministic (every row pivots at its earliest column), so
+equal inputs always give identical output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
+_EXACT = frozenset((int, Fraction))
+
+
 def clean_vec(v):
-    """Drop zero entries; keep int values, coerce the others to Fraction."""
+    """Drop zero entries; keep int values, coerce the others to Fraction.
+    A vector of nonzero ints and Fractions is copied without per-entry
+    coercion."""
+    vals = v.values()
+    if _EXACT.issuperset(map(type, vals)) and 0 not in vals:
+        return dict(v)
     return {k: c if type(c) is int else Fraction(c)
             for k, c in v.items() if c}
 
@@ -130,7 +139,7 @@ class Matrix:
         self.rows = [clean_vec(r) for r in rows]
         self.ncols = ncols
         for r in self.rows:
-            if any(not (0 <= k < ncols) for k in r):
+            if r and (min(r) < 0 or max(r) >= ncols):
                 raise ValueError("row index outside column basis")
 
     @property
@@ -167,18 +176,34 @@ class Inconsistent:
 def rref(m):
     """Reduced row echelon form and rank of a Matrix.
 
-    The rows are thinned to a basis of their span by a SpanReducer, whose
-    back-substituted rows (``reduced_rows``) are divided by their pivots.
-    The RREF of a row space is unique for the fixed column order, so the
-    result is deterministic.
+    It back-substitutes as it goes: the kept rows are primitive integer
+    rows, each positive at its pivot (its first column) and 0 at the
+    other pivots.  A row of m, scaled to coprime integers, is cancelled
+    at the pivot columns of its own support; no cancel adds an entry at a
+    pivot column, so one pass leaves its residue.  A nonzero residue is
+    kept, pivoting at its first column, and cancelled from the kept rows
+    that have an entry there.  The kept rows span the rows of m and are
+    reduced, so divided by their pivots they are its RREF, which is
+    unique for the fixed column order.
     """
-    red = SpanReducer()
+    kept = {}
     for r in m.rows:
-        red.insert(r)
+        v = _to_int_row(r)
+        for c in [c for c in v if c in kept]:
+            _cancel(v, c, kept[c], [])
+        if not v:
+            continue
+        v = _primitive(v)
+        p = min(v)
+        for c, row in kept.items():
+            if p in row:
+                _cancel(row, p, v, [])
+                kept[c] = _primitive(row)
+        kept[p] = v
     rows = []
-    for row in red.reduced_rows():
-        piv = row[min(row)]
-        rows.append({k: Fraction(v, piv) for k, v in row.items()})
+    for c in sorted(kept):
+        row = kept[c]
+        rows.append({k: Fraction(x, row[c]) for k, x in row.items()})
     return Matrix(rows, m.ncols), len(rows)
 
 
@@ -244,25 +269,34 @@ def sparse_vec(terms, columns):
     return v
 
 
-def _cancel(v, c, row):
+def _cancel(v, c, row, added):
     """Cancel column c of the integer row v in place against ``row``,
     whose pivot is c, fraction-free: v becomes m*v - k*row with m > 0
-    (a pivot row's leading coefficient is positive).  Returns m."""
+    (a pivot row's leading coefficient is positive), and m = 1 when the
+    pivot is 1.  Each column it adds to v is pushed on the heap
+    ``added``."""
     a = v[c]
     g = row[c]
-    d = gcd(a, g)
-    mv = g // d
-    mr = a // d
-    if mv != 1:
-        for k in v:
-            v[k] *= mv
+    if g == 1:
+        mr = a
+    else:
+        d = gcd(a, g)
+        mv = g // d
+        mr = a // d
+        if mv != 1:
+            for k in v:
+                v[k] *= mv
     for k, val in row.items():
-        nv = v.get(k, 0) - mr * val
-        if nv:
-            v[k] = nv
+        nv = v.get(k)
+        if nv is None:
+            v[k] = -mr * val
+            heappush(added, k)
         else:
-            v.pop(k, None)
-    return mv
+            nv -= mr * val
+            if nv:
+                v[k] = nv
+            else:
+                del v[k]
 
 
 def _primitive(row):
@@ -270,9 +304,7 @@ def _primitive(row):
     leading coefficient is positive."""
     if not row:
         return row
-    g = 0
-    for c in row.values():
-        g = gcd(g, c)
+    g = gcd(*row.values())
     if row[min(row)] < 0:
         g = -g
     if g == 1:
@@ -298,6 +330,16 @@ class SpanReducer:
     coefficient), one per pivot column.  Inserts keep forward echelon form
     only, which is all the big consequence-span computations need;
     ``reduced_rows`` back-substitutes on demand.
+
+    A vector is reduced by cancelling its leading column against the
+    pivot row there until that column has no pivot row.  Its columns are
+    walked in increasing order from a heap, onto which each cancel pushes
+    the columns it adds (all beyond the cancelled one), so the next
+    leading column is found without a scan of the whole vector.  A
+    vector equal to the pivot row at its leading column is rejected at
+    once, as its first cancel would leave nothing.  Each cancel is the one
+    the plain leading-column loop makes, in column, multiplier and order,
+    so the rows and residues are that loop's.
     """
 
     def __init__(self):
@@ -308,12 +350,21 @@ class SpanReducer:
         return len(self.pivot_rows)
 
     def _reduce(self, v):
-        while v:
-            c = min(v)
-            row = self.pivot_rows.get(c)
+        """Reduce the primitive integer row v in place; returns the
+        residue."""
+        pivots = self.pivot_rows
+        cols = list(v)
+        heapify(cols)
+        if cols and pivots.get(cols[0]) == v:
+            return {}
+        while cols:
+            c = heappop(cols)
+            if c not in v:
+                continue    # cancelled by an earlier row
+            row = pivots.get(c)
             if row is None:
                 return v
-            _cancel(v, c, row)
+            _cancel(v, c, row, cols)
         return v
 
     def residue(self, v):
@@ -339,6 +390,6 @@ class SpanReducer:
             row = dict(self.pivot_rows[c])
             for d in reversed(reduced):
                 if d in row:
-                    _cancel(row, d, reduced[d])
+                    _cancel(row, d, reduced[d], [])
             reduced[c] = _primitive(row)
         return list(reversed(reduced.values()))

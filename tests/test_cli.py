@@ -120,6 +120,20 @@ def test_identities_paper_order_matrix(capsys):
     assert "<x1,<x2,x3>>" in out
 
 
+def test_consecutive_calls_share_no_state(capsys):
+    """main builds its parser once; a flag or format given to one call
+    must not carry over to the next."""
+    code, out, _ = run(capsys, "identities", "--degree", "3",
+                       "--paper-order")
+    assert code == 0 and "permutation_matrix" in out
+    code, out, _ = run(capsys, "identities", "--degree", "3")
+    assert code == 0 and "permutation_matrix" not in out
+    code, out, _ = run(capsys, "--format", "record", "expand", "<x1,x2>")
+    assert code == 0 and json.loads(out)["command"] == "expand"
+    code, out, _ = run(capsys, "expand", "<x1,x2>")
+    assert code == 0 and out.startswith("# expand\n")
+
+
 @pytest.mark.parametrize("degree", ["2", "4", "6"])
 def test_identities_paper_order_outside_degree_3_exits_2(capsys, degree):
     """The matrix exists only at degree 3, so the flag is refused there

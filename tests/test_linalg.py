@@ -186,6 +186,43 @@ def test_span_reducer_same_rows_for_int_and_fraction_input():
         assert list(ints.pivot_rows) == list(fracs.pivot_rows)
 
 
+def test_rref_matches_span_reducer_reduced_rows():
+    """rref back-substitutes as it inserts; SpanReducer eliminates
+    forward and back-substitutes at the end.  Both give the one RREF."""
+    rng = random.Random(11)
+
+    def entry(frac):
+        c = rng.randint(-5, 5)
+        return Fraction(c, rng.randint(1, 4)) if frac else c
+
+    cases = []
+    for _ in range(120):
+        frac = rng.random() < 0.5
+        nrows, ncols = rng.choice(((rng.randint(10, 30), rng.randint(1, 6)),
+                                   (rng.randint(1, 6), rng.randint(10, 30)),
+                                   (rng.randint(1, 12), rng.randint(1, 12))))
+        rows = [{j: entry(frac) for j in range(ncols)
+                 if rng.random() < rng.choice((0.2, 0.6))}
+                for _ in range(nrows)]
+        if rng.random() < 0.4:
+            # rank deficient: combinations of two of the rows
+            base = rows[:2]
+            rows = [{j: sum(rng.randint(-2, 2) * b.get(j, 0) for b in base)
+                     for j in range(ncols)} for _ in range(nrows)]
+        rows += [{}] * rng.randint(0, 2)
+        rows += [dict(rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(rows)
+        cases.append(Matrix(rows, ncols))
+    for m in cases:
+        red = SpanReducer()
+        for row in m.rows:
+            red.insert(row)
+        want = [{k: Fraction(v, row[min(row)]) for k, v in row.items()}
+                for row in red.reduced_rows()]
+        ech, rank = rref(m)
+        assert ech.rows == want and rank == len(want) == red.dim
+
+
 def test_rref_idempotent_and_deterministic():
     rng = random.Random(2)
     for _ in range(40):

@@ -192,20 +192,13 @@ def test_partial_span_grows_fully_as_a_subcomponent():
     assert cache[ml4].reducer.dim == len(cache[ml4].full_basis()) == 13
 
 
-def test_membership_insert_count(monkeypatch):
+def test_membership_insert_count(count_inserts):
     """A multilinear degree-6 non-member grows every sub-component.  They
     come from one canonical component per multiplicity pattern, so 75
     rows are accepted, the target's 31 included; building each of the 62
     proper sub-components on its own letters makes 5,948 inserts here
     (528 accepted)."""
-    calls = []
-    insert = SpanReducer.insert
-
-    def counting(self, v):
-        calls.append(insert(self, v))
-        return calls[-1]
-
-    monkeypatch.setattr(SpanReducer, "insert", counting)
+    calls = count_inserts
     x1, x2, x3, x4, x5, x6 = (Elt.gen(f"x{i}") for i in range(1, 7))
     member = bracket(bracket(x1, x2),
                      bracket(bracket(x3, x4), bracket(x5, x6)))
