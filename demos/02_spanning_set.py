@@ -15,9 +15,7 @@ for b in enumerate_B(3, 3):
     print(f"  {b.family}{b.data}: {b.value}")
 
 print("\nEvery one of them is a mutation element:")
-cache = {}
-print("  ", all(is_mutation_element(b.value, cache)
-                for b in enumerate_B(3, 3)))
+print("  ", all(is_mutation_element(b.value) for b in enumerate_B(3, 3)))
 
 print("\nSomething that is NOT a mutation element (bare parameter mix):")
 bad = Elt.gen("p") * Elt.gen("x1") * Elt.gen("x2")

@@ -179,26 +179,26 @@ def _component(key, cache):
 
 
 class ComponentSpan:
-    """Lazily grown span S_m of the bracket expansions at multidegree m.
+    """The span S_m of the bracket expansions at multidegree m.
 
     A bracket monomial of degree >= 2 is <u, v> with u, v bracket
     monomials whose nonzero multidegrees m1, m2 add up to m.  The bracket
     is bilinear, so S_m is spanned by <a, b> over all ordered splits
     (m1, m2), with a running over any basis of S_m1 and b over any basis
-    of S_m2; the component of a single letter x is spanned by x.
-    Sub-components are grown completely, one per multiplicity pattern:
+    of S_m2; the component of a single letter x is spanned by x.  Each
+    sub-component comes from one component per multiplicity pattern:
     S_m1 gets the basis of m1's canonical pattern (``_canonical``) renamed
     back.  An injective renaming of x-generators extends to an automorphism
     of the free perm algebra that fixes p and q and commutes with the
     bracket, so it maps the bracket monomials and any basis of S_m onto
     those of the renamed component.  Canonical components are memoised in
-    ``_cache`` by key (``is_mutation_element`` passes its own cache).  The
-    component itself grows only until a target is covered: products are
-    inserted in chunks of 16 and the target is checked after each chunk.
+    ``_cache`` by key.  Every product is inserted when the span is built.
 
-    ``full_basis()`` is reduced (``SpanReducer.reduced_rows``): no element
-    is nonzero at another's pivot monomial, so each has at most 1 +
-    (monomials - rank) terms and the brackets built on it stay cheap.
+    This is the bilinear certificate of ``verify_basis_B``, independent of
+    the closed form in ``is_mutation_element``.  ``full_basis()`` is
+    reduced (``SpanReducer.reduced_rows``): no element is nonzero at
+    another's pivot monomial, so each has at most 1 + (monomials - rank)
+    terms and the brackets built on it stay cheap.
     """
 
     def __init__(self, multidegree, _cache=None):
@@ -208,8 +208,11 @@ class ComponentSpan:
         self._cache = {} if _cache is None else _cache
         self.reducer = SpanReducer()
         self._columns = {}
-        self._stream = self._products()
-        self._basis = None
+        for e in self._products():
+            self.reducer.insert(sparse_vec(e.terms, self._columns))
+        monos = list(self._columns)
+        self._basis = [Elt({monos[k]: c for k, c in row.items()})
+                       for row in self.reducer.reduced_rows()]
 
     def _sub_basis(self, multidegree):
         """The full basis of ``multidegree``'s pattern, renamed back."""
@@ -234,30 +237,12 @@ class ComponentSpan:
                 for b in right:
                     yield bracket(a, b)
 
-    def _grow(self, count):
-        """Insert the next ``count`` products; False if none were left."""
-        grown = False
-        for e in itertools.islice(self._stream, count):
-            grown = True
-            self.reducer.insert(sparse_vec(e.terms, self._columns))
-        return grown
-
     def full_basis(self):
-        """A reduced basis of the whole component, growing it to the end."""
-        if self._basis is None:
-            while self._grow(16):
-                pass
-            monos = list(self._columns)
-            self._basis = [Elt({monos[k]: c for k, c in row.items()})
-                           for row in self.reducer.reduced_rows()]
+        """A reduced basis of the component."""
         return self._basis
 
     def contains(self, e):
-        v = sparse_vec(e.terms, self._columns)
-        while not self.reducer.contains(v):
-            if not self._grow(16):
-                return False
-        return True
+        return self.reducer.contains(sparse_vec(e.terms, self._columns))
 
 
 def _canonical(key):
@@ -291,18 +276,61 @@ def _rename(terms, mapping):
 def is_mutation_element(e, _cache=None):
     """Can e be written from X using only the mutation bracket?
 
-    Decomposes by x-multidegree; each homogeneous part must have parameter
-    degree = x-degree - 1 in every monomial (the mutation grading) and lie
-    in the span of the bracket expansions at that multidegree.  That span
-    is a ComponentSpan, built by bilinearity from the brackets of bases of
-    smaller components rather than by expanding every bracket monomial.
-    ``_cache``, when given, keeps the component spans (keyed by
-    multidegree) across calls.
+    Decomposes e by x-multidegree; the part at multidegree m, of x-degree
+    n over k distinct letters, must lie in the span S_m of the bracket
+    expansions at m.  That is decided in closed form from O(terms) sums.
+    Let A_m be spanned by the n*k monomials of multidegree m with n - 1
+    parameters and an x tail, write P_i = p^(n-1-i) q^i, and for E in A_m
+    let sigma_i(E) be the sum of its coefficients at the monomials with i
+    q's.  Let U_m = {E in A_m : sigma_i = (-1)^i C(n-1, i) sigma_0 for
+    1 <= i <= n-1}.  Then S_m = U_m, except at m = {s, t} with s != t,
+    where S_m is spanned by <s, t> = (s p, t) - (t q, s) and <t, s>, so E
+    is in S_m iff c(s p, t) + c(t q, s) = 0 = c(t p, s) + c(s q, t).  A
+    part with a monomial outside A_m (wrong grading or a p/q tail) is in
+    no S_m.
+
+    Proof.  S_m lies in U_m: the homomorphism g into Q[p, q] (commutative,
+    so a perm algebra) that sends every x to 1 has g(<u, v>) = (p - q)
+    g(u) g(v), so every bracket monomial of degree n maps to (p - q)^(n-1);
+    and <u, v> = (u p) v - (v q) u takes each tail from u or v, an x.  At
+    n = 1 both are the line of x, at m = {s, s} the line of <s, s>, and at
+    n = 3 dim S_m = 3k - 2 = dim U_m (1, 4, 7 for k = 1, 2, 3, the ranks
+    of the expansions of all bracket monomials).  For n >= 4, U_m is ker g
+    plus the line of a bracket monomial (its sigma_0 is 1), and ker g is
+    spanned by the tail differences D_i(s, t) = (P_i + m - t, t) -
+    (P_i + m - s, s).  Take a letter x with s, t in m - x.  The x-tail
+    terms cancel in <x, D_i(m - x)> = D_i(m) for i <= n - 2 and in
+    <D_(n-2)(m - x), x> = -D_(n-1)(m), so by induction from n = 3, where
+    ker g lies in U = S, every D_i(m) is in S_m.
+
+    ``_cache`` is accepted and ignored.
     """
-    if not e:
-        return True
-    cache = {} if _cache is None else _cache
-    # one pass grades each monomial and groups it by its x-letters
+    parts, pairs = {}, {}
+    for (prefix, tail), c in e.terms.items():
+        if not is_x(tail):
+            return False
+        nq = prefix.count("q")
+        n = len(prefix) + 1 - nq - prefix.count("p")
+        if len(prefix) != 2 * n - 2:
+            return False
+        xs = prefix[:n - 1]        # a canonical prefix lists its x's first
+        if n == 2 and xs[0] != tail:
+            # the monomial's place in <a, b> = (a p, b) - (b q, a)
+            ab = (tail, xs[0]) if nq else (xs[0], tail)
+            pairs[ab] = pairs.get(ab, 0) + c
+        else:
+            sigma = parts.setdefault(tuple(sorted(xs + (tail,))), [0] * n)
+            sigma[nq] += c
+    return (not any(pairs.values())
+            and all(s == (-1) ** i * comb(len(sigma) - 1, i) * sigma[0]
+                    for sigma in parts.values()
+                    for i, s in enumerate(sigma)))
+
+
+def _in_component_spans(e, cache):
+    """Whether every part of e by x-multidegree has the mutation grading
+    and lies in its ComponentSpan, the bilinear certificate of
+    ``verify_basis_B``; components are memoised in ``cache``."""
     parts = {}
     for m, c in e.terms.items():
         xs = sorted(g for g in m[0] + (m[1],) if is_x(g))
@@ -333,13 +361,14 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
     x-multidegrees m of span B_m, B_m being the B elements of multidegree
     m.  For each m over x1..x{n_vars} with 1 <= |m| <= ``degree``, B_m
     goes into its own reducer, of rank r_m.  B is independent when every
-    r_m = |B_m|.  B spans when every B element passes
-    ``is_mutation_element`` (so span B_m lies in the span S_m of the
-    bracket expansions at m) and every r_m = dim S_m, the ComponentSpan
-    basis size at the canonical relabelling of m (renaming x-variables
-    preserves bracket spans); then span B_m = S_m.  Closure follows from
-    spanning: a bracket of bracket monomials is one, so <S_m1, S_m2> lies
-    in S_(m1+m2) = span B_(m1+m2) when |m1| + |m2| <= ``degree``.
+    r_m = |B_m|.  B spans when every part of every B element lies in its
+    ComponentSpan (so span B_m lies in the span S_m of the bracket
+    expansions at m; the closed form of ``is_mutation_element`` is not
+    used) and every r_m = dim S_m, the ComponentSpan basis size at the
+    canonical relabelling of m (renaming x-variables preserves bracket
+    spans); then span B_m = S_m.  Closure follows from spanning: a
+    bracket of bracket monomials is one, so <S_m1, S_m2> lies in
+    S_(m1+m2) = span B_(m1+m2) when |m1| + |m2| <= ``degree``.
     ``closure_degree`` may be None or at most ``degree``; B is not
     certified above ``degree``, so a larger value raises ValueError.
     """
@@ -355,7 +384,7 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
         by_mdeg.setdefault(key, []).append(b.value)
 
     cache = {}
-    spans = all(is_mutation_element(b.value, cache) for b in elements)
+    spans = all(_in_component_spans(b.value, cache) for b in elements)
     independent = True
     for d in range(1, degree + 1):
         for mdeg in _multidegrees(n_vars, d):

@@ -70,12 +70,11 @@ def check_relations_suite():
 
 
 def check_mutation_elements():
-    cache = {}
     count = 0
     for b in enumerate_B(6, 6):
         if b.family in ("B2", "B3"):
             count += 1
-            if not is_mutation_element(b.value, _cache=cache):
+            if not is_mutation_element(b.value):
                 return False, f"{b.family}{b.data} rejected"
     return True, f"{count} spanning-set elements confirmed"
 

@@ -9,7 +9,7 @@ from mutperm.verify import run_all
 BUDGETS = {
     "degree3-expansions": 1,
     "bracket-relations": 1,
-    "mutation-elements": 3.5,
+    "mutation-elements": 1,
     "basis-B": 2,
     "vanishing-identities": 0.5,
     "degree3-identities": 1,

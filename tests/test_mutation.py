@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -104,13 +105,12 @@ def test_bracket_monomials_multidegree():
 
 def test_is_mutation_element_positives():
     x1, x2, x3 = (Elt.gen(f"x{i}") for i in range(1, 4))
-    cache = {}
-    assert is_mutation_element(x1, cache)
-    assert is_mutation_element(bracket(x1, x2), cache)
-    assert is_mutation_element(bracket(bracket(x1, x2), x3), cache)
-    assert is_mutation_element(Elt.zero(), cache)
+    assert is_mutation_element(x1)
+    assert is_mutation_element(bracket(x1, x2))
+    assert is_mutation_element(bracket(bracket(x1, x2), x3))
+    assert is_mutation_element(Elt.zero())
     for b in enumerate_B(3, 4):
-        assert is_mutation_element(b.value, cache)
+        assert is_mutation_element(b.value)
 
 
 def test_is_mutation_element_negatives():
@@ -172,40 +172,89 @@ def test_component_span_matches_expanded_monomials():
                 oracle.insert(sparse_vec(e.terms, columns))
             span = ComponentSpan(md)
             assert len(span.full_basis()) == oracle.dim, md
+            # dim S_m = dim U_m = n*k - n + 1 except at (1, 1): the base
+            # case of is_mutation_element's closed form
+            n = sum(pattern)
+            assert oracle.dim == (2 if pattern == (1, 1)
+                                  else n * k - n + 1), md
             assert all(span.contains(e) for e in expansions), md
             _assert_reduced(span)
 
 
-def test_partial_span_grows_fully_as_a_subcomponent():
-    # A member of degree 4 is covered by a partly grown span; a later
-    # degree-5 query needs that span as a complete sub-component.
-    x1, x2, x3, x4, x5 = (Elt.gen(f"x{i}") for i in range(1, 6))
-    ml4 = tuple((f"x{i}", 1) for i in range(1, 5))
-    cache = {}
-    assert is_mutation_element(bracket(x4, bracket(bracket(x1, x2), x3)),
-                               cache)
-    assert cache[ml4].reducer.dim < 13
-    deg5 = bracket(bracket(bracket(x1, x2), bracket(x3, x4)), x5)
-    assert is_mutation_element(deg5, cache)
-    assert not is_mutation_element(deg5 + Elt.gen("p") * Elt.gen("q")
-                                   * x1 * x2 * x3 * x4 * x5, cache)
-    assert cache[ml4].reducer.dim == len(cache[ml4].full_basis()) == 13
-
-
 def test_membership_insert_count(count_inserts):
-    """A multilinear degree-6 non-member grows every sub-component.  They
-    come from one canonical component per multiplicity pattern, so 75
-    rows are accepted, the target's 31 included; building each of the 62
-    proper sub-components on its own letters makes 5,948 inserts here
-    (528 accepted)."""
+    """The bilinear span of the multilinear degree-6 component grows every
+    sub-component.  They come from one canonical component per
+    multiplicity pattern, so 75 rows are accepted, the target's 31
+    included; building each of the 62 proper sub-components on its own
+    letters makes 5,948 inserts here (528 accepted).  The closed form of
+    is_mutation_element makes no insert."""
     calls = count_inserts
-    x1, x2, x3, x4, x5, x6 = (Elt.gen(f"x{i}") for i in range(1, 7))
+    names = [f"x{i}" for i in range(1, 7)]
+    x1, x2, x3, x4, x5, x6 = map(Elt.gen, names)
     member = bracket(bracket(x1, x2),
                      bracket(bracket(x3, x4), bracket(x5, x6)))
     tail_p = normalize_word(("x1", "x2", "x3", "x4", "x5", "x6",
                              "p", "q", "q", "p", "p"))
-    assert not is_mutation_element(member + Elt.monomial(tail_p))
+    span = ComponentSpan(dict.fromkeys(names, 1))
+    assert span.contains(member)
+    assert not span.contains(member + Elt.monomial(tail_p))
     assert (len(calls), sum(calls)) == (2517, 75)
+    assert is_mutation_element(member)
+    assert not is_mutation_element(member + Elt.monomial(tail_p))
+    assert len(calls) == 2517
+
+
+def _random_bracket(rng, letters):
+    """The expansion of a random bracket monomial on ``letters``."""
+    if len(letters) == 1:
+        return Elt.gen(letters[0])
+    k = rng.randint(1, len(letters) - 1)
+    return bracket(_random_bracket(rng, letters[:k]),
+                   _random_bracket(rng, letters[k:]))
+
+
+def test_closed_form_matches_component_spans():
+    """is_mutation_element's closed form answers as ComponentSpan.contains
+    on every part (``mutation._in_component_spans``) for 2,400 seeded
+    elements up to degree 6 over x1..x4: sums of scaled bracket monomials,
+    alone or plus a graded monomial with an x, p or q tail, or plus a
+    tail difference D_i(s, t) = (P_i + m - t, t) - (P_i + m - s, s).  A
+    tail difference lies in the span except at n = 2 with s != t."""
+    rng = random.Random(20)
+    cache = {}
+    seen = Counter()
+    for _ in range(2400):
+        n = rng.choice([1, 2, 2, 3, 4, 5, 6])
+        letters = rng.choices(["x1", "x2", "x3", "x4"], k=n)
+        e = Elt.zero()
+        for _ in range(rng.randint(1, 3)):
+            rng.shuffle(letters)
+            e = e + _random_bracket(rng, letters).scale(
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        kind = "member" if n == 1 else rng.choice(["member", "x tail",
+                                                   "p/q tail", "difference"])
+        i = rng.randrange(n)
+        params = ["p"] * (n - 1 - i) + ["q"] * i       # P_i
+        if kind == "x tail":
+            word = letters[1:] + params + letters[:1]
+            e = e + Elt.monomial(normalize_word(word), rng.randint(1, 3))
+        elif kind == "p/q tail":
+            word = letters + params[1:] + params[:1]
+            e = e + Elt.monomial(normalize_word(word), rng.randint(1, 3))
+        elif kind == "difference":
+            s, t = rng.sample(range(n), 2)
+            kind += " n=2" if n == 2 and letters[s] != letters[t] else ""
+            for tail, sign in ((t, 1), (s, -1)):
+                rest = letters[:tail] + letters[tail + 1:]
+                word = rest + params + [letters[tail]]
+                e = e + Elt.monomial(normalize_word(word), sign)
+        want = mutation._in_component_spans(e, cache)
+        assert is_mutation_element(e) == want, e
+        seen[kind, want] += 1
+    assert seen["member", True] > 500
+    assert seen["x tail", False] > 200 and seen["p/q tail", False] > 200
+    assert seen["difference", True] > 200
+    assert seen["difference n=2", False] > 20
 
 
 def test_rename_matches_normalize_word():
