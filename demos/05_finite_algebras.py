@@ -1,8 +1,10 @@
 """Finite-dimensional evidence: separating identities and Lie-admissibility.
 
 A small structure-constant table can separate identities that agree on
-low-degree data, and sampling mutations of criterion-satisfying algebras
-illustrates why every such mutation is Lie-admissible.
+low-degree data.  Random mutations of a criterion-satisfying algebra
+illustrate criterion 11, which the lie-admissibility check of
+``mutperm verify-paper`` proves for every algebra; an algebra that fails
+the criterion has a mutation that breaks Jacobi.
 """
 
 import random
@@ -10,8 +12,12 @@ from fractions import Fraction
 
 from mutperm import (FiniteAlgebra, TEMPLATES, jacobi_test,
                      lie_admissible_criterion, mutation_algebra, satisfies)
-from mutperm.findim import random_vector
 from mutperm.verify import _prop35
+
+
+def random_vector(rng, dim):
+    return [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
+
 
 a = _prop35()
 print(f"The bundled 3-dimensional algebra ({', '.join(a.names)}):")

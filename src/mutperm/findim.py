@@ -426,13 +426,10 @@ def mutations_lie_admissible(a):
 
 def lie_admissible_criterion(a):
     """The degree-5 product identity whose validity makes every mutation
-    of a Lie-admissible; checked via its full linearization on basis
-    tuples.  Returns (yes, None) or (no, witness)."""
+    of a Lie-admissible (proved for every algebra by
+    ``verify.check_lie_admissibility``); checked via its full
+    linearization on basis tuples.  Returns (yes, None) or (no, witness)."""
     return satisfies(a, TEMPLATES["crit36"])
-
-
-def random_vector(rng, dim):
-    return [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
 
 
 def change_of_basis(a, s):

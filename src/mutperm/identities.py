@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from math import gcd
 
 from .linalg import Matrix, SpanReducer, _to_int_row, kernel_basis, rref
 from .mutation import _expander, _rename, bracket_monomials, expand
@@ -379,9 +380,11 @@ def new_identities(known, n):
     each round every kernel basis vector v is scored by its gain, the
     dimension its orbit adds to R, read off per irreducible as
     sum_λ d_λ (rank [R_λ; rho_λ(v)] - rank R_λ); the first vector of
-    largest gain wins, its residue modulo R joins ``representatives`` and
-    its orbit joins R.  A greedy set need not be a smallest one, so
-    ``new_dim`` bounds the number of new generators needed from above.
+    largest gain wins, its residue modulo R, divided by the positive gcd
+    of its integer coefficients (so primitive, with its sign kept), joins
+    ``representatives`` and its orbit joins R.  A greedy set need not be
+    a smallest one, so ``new_dim`` bounds the number of new generators
+    needed from above.
     Raises ValueError before anything is built for a degree out of range
     and for a known identity that ``_usable`` refuses or (with a witness)
     that does not vanish in mutations of perm algebras.
@@ -431,6 +434,8 @@ def new_identities(known, n):
                     if dim == kdim:
                         break
             residue = red.residue(kb[best])
+            content = gcd(*residue.values())
+            residue = {k: c // content for k, c in residue.items()}
             representatives.append(vec_to_poly(residue, space.basis))
             for act in orbit:
                 red.insert(act(residue))

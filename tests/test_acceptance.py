@@ -17,7 +17,7 @@ BUDGETS = {
     "degree4-new-identities": 0.5,
     "degree5-closure": 1.2,
     "cohn-certificate": 0.5,
-    "lie-admissibility": 2.5,
+    "lie-admissibility": 0.2,
     "infrastructure": 1,
 }
 
@@ -44,8 +44,9 @@ DETAILS = {
     "cohn-certificate":
         "12-equation system inconsistent; exceptional image certified",
     "lie-admissibility":
-        "20 algebras: every mutation Lie-admissible (proved on 391 lattice "
-        "mutations, degree <= 2); criterion follows from bicommutativity",
+        "every algebra: every mutation Lie-admissible (Jacobiator parts "
+        "(2,0)/(1,1)/(0,2), 12/24/12 terms, each equal -crit36 polarized); "
+        "criterion follows from bicommutativity",
     "infrastructure":
         "perm dims, magmatic counts, 100 random rref checks",
 }

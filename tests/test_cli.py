@@ -336,44 +336,39 @@ DEGREE4_RESULTS = {
     "consequence_dim": 92,
     "new_dim": 2,
     "representatives": [
-        ("-24*<<x4,<x1,x2>>,x3> - 72*<<x4,<x1,x3>>,x2> +"
-         " 24*<<x4,<x2,x1>>,x3> + 72*<<x4,<x2,x3>>,x1> -"
-         " 24*<<x4,<x3,x1>>,x2> + 24*<<x4,<x3,x2>>,x1> -"
-         " 189*<<<x1,x2>,x3>,x4> - 108*<<<x1,x2>,x4>,x3> +"
-         " 21*<<<x1,x3>,x2>,x4> + 120*<<<x1,x3>,x4>,x2> +"
-         " 276*<<<x1,x4>,x2>,x3> - 120*<<<x1,x4>,x3>,x2> +"
-         " 189*<<<x2,x1>,x3>,x4> + 108*<<<x2,x1>,x4>,x3> +"
-         " 3*<<<x2,x3>,x1>,x4> - 120*<<<x2,x3>,x4>,x1> -"
-         " 276*<<<x2,x4>,x1>,x3> + 96*<<<x2,x4>,x3>,x1> -"
-         " 21*<<<x3,x1>,x2>,x4> - 3*<<<x3,x2>,x1>,x4> - 72*<<<x3,x4>,x1>,x2>"
-         " + 96*<<<x3,x4>,x2>,x1> - 276*<<<x4,x1>,x2>,x3> +"
-         " 96*<<<x4,x1>,x3>,x2> + 276*<<<x4,x2>,x1>,x3> -"
-         " 72*<<<x4,x2>,x3>,x1> + 72*<<<x4,x3>,x1>,x2> -"
-         " 96*<<<x4,x3>,x2>,x1>"),
-        ("-95*<<x1,<x2,x3>>,x4> - 85*<<x1,<x2,x4>>,x3> +"
-         " 55*<<x1,<x3,x2>>,x4> - 70*<<x1,<x3,x4>>,x2> +"
-         " 105*<<x1,<x4,x2>>,x3> - 50*<<x1,<x4,x3>>,x2> +"
-         " 65*<<x2,<x1,x3>>,x4> + 90*<<x2,<x1,x4>>,x3> +"
-         " 70*<<x2,<x3,x1>>,x4> + 75*<<x2,<x3,x4>>,x1> +"
-         " 80*<<x2,<x4,x1>>,x3> + 5*<<x2,<x4,x3>>,x1> + 50*<<x3,<x1,x2>>,x4>"
-         " - 20*<<x3,<x1,x4>>,x2> - 50*<<x3,<x2,x1>>,x4> +"
-         " 15*<<x3,<x2,x4>>,x1> - 100*<<x3,<x4,x1>>,x2> +"
-         " 35*<<x3,<x4,x2>>,x1> - 20*<<x4,x3>,<x2,x1>> +"
-         " 85*<<x4,<x1,x2>>,x3> - 10*<<x4,<x1,x3>>,x2> -"
-         " 10*<<x4,<x2,x1>>,x3> + 15*<<x4,<x2,x3>>,x1> -"
-         " 110*<<x4,<x3,x1>>,x2> + 55*<<x4,<x3,x2>>,x1> +"
-         " 35*<<<x1,x2>,x3>,x4> - 30*<<<x1,x2>,x4>,x3> +"
-         " 65*<<<x1,x3>,x2>,x4> + 30*<<<x1,x3>,x4>,x2> -"
-         " 10*<<<x1,x4>,x2>,x3> + 50*<<<x1,x4>,x3>,x2> -"
-         " 35*<<<x2,x1>,x3>,x4> - 45*<<<x2,x1>,x4>,x3> -"
-         " 40*<<<x2,x3>,x1>,x4> - 125*<<<x2,x3>,x4>,x1> -"
-         " 25*<<<x2,x4>,x1>,x3> - 115*<<<x2,x4>,x3>,x1> -"
-         " 200*<<<x3,x1>,x2>,x4> + 110*<<<x3,x1>,x4>,x2> +"
-         " 80*<<<x3,x2>,x1>,x4> + 55*<<<x3,x2>,x4>,x1> +"
-         " 70*<<<x3,x4>,x1>,x2> - 45*<<<x3,x4>,x2>,x1> -"
-         " 160*<<<x4,x1>,x2>,x3> + 90*<<<x4,x1>,x3>,x2> +"
-         " 5*<<<x4,x2>,x1>,x3> + 65*<<<x4,x2>,x3>,x1> + 10*<<<x4,x3>,x1>,x2>"
-         " - 15*<<<x4,x3>,x2>,x1>"),
+        ("-8*<<x4,<x1,x2>>,x3> - 24*<<x4,<x1,x3>>,x2> + 8*<<x4,<x2,x1>>,x3>"
+         " + 24*<<x4,<x2,x3>>,x1> - 8*<<x4,<x3,x1>>,x2> +"
+         " 8*<<x4,<x3,x2>>,x1> - 63*<<<x1,x2>,x3>,x4> - 36*<<<x1,x2>,x4>,x3>"
+         " + 7*<<<x1,x3>,x2>,x4> + 40*<<<x1,x3>,x4>,x2> +"
+         " 92*<<<x1,x4>,x2>,x3> - 40*<<<x1,x4>,x3>,x2> +"
+         " 63*<<<x2,x1>,x3>,x4> + 36*<<<x2,x1>,x4>,x3> + <<<x2,x3>,x1>,x4> -"
+         " 40*<<<x2,x3>,x4>,x1> - 92*<<<x2,x4>,x1>,x3> +"
+         " 32*<<<x2,x4>,x3>,x1> - 7*<<<x3,x1>,x2>,x4> - <<<x3,x2>,x1>,x4> -"
+         " 24*<<<x3,x4>,x1>,x2> + 32*<<<x3,x4>,x2>,x1> -"
+         " 92*<<<x4,x1>,x2>,x3> + 32*<<<x4,x1>,x3>,x2> +"
+         " 92*<<<x4,x2>,x1>,x3> - 24*<<<x4,x2>,x3>,x1> +"
+         " 24*<<<x4,x3>,x1>,x2> - 32*<<<x4,x3>,x2>,x1>"),
+        ("-19*<<x1,<x2,x3>>,x4> - 17*<<x1,<x2,x4>>,x3> +"
+         " 11*<<x1,<x3,x2>>,x4> - 14*<<x1,<x3,x4>>,x2> +"
+         " 21*<<x1,<x4,x2>>,x3> - 10*<<x1,<x4,x3>>,x2> +"
+         " 13*<<x2,<x1,x3>>,x4> + 18*<<x2,<x1,x4>>,x3> +"
+         " 14*<<x2,<x3,x1>>,x4> + 15*<<x2,<x3,x4>>,x1> +"
+         " 16*<<x2,<x4,x1>>,x3> + <<x2,<x4,x3>>,x1> + 10*<<x3,<x1,x2>>,x4> -"
+         " 4*<<x3,<x1,x4>>,x2> - 10*<<x3,<x2,x1>>,x4> + 3*<<x3,<x2,x4>>,x1>"
+         " - 20*<<x3,<x4,x1>>,x2> + 7*<<x3,<x4,x2>>,x1> -"
+         " 4*<<x4,x3>,<x2,x1>> + 17*<<x4,<x1,x2>>,x3> - 2*<<x4,<x1,x3>>,x2>"
+         " - 2*<<x4,<x2,x1>>,x3> + 3*<<x4,<x2,x3>>,x1> -"
+         " 22*<<x4,<x3,x1>>,x2> + 11*<<x4,<x3,x2>>,x1> + 7*<<<x1,x2>,x3>,x4>"
+         " - 6*<<<x1,x2>,x4>,x3> + 13*<<<x1,x3>,x2>,x4> +"
+         " 6*<<<x1,x3>,x4>,x2> - 2*<<<x1,x4>,x2>,x3> + 10*<<<x1,x4>,x3>,x2>"
+         " - 7*<<<x2,x1>,x3>,x4> - 9*<<<x2,x1>,x4>,x3> - 8*<<<x2,x3>,x1>,x4>"
+         " - 25*<<<x2,x3>,x4>,x1> - 5*<<<x2,x4>,x1>,x3> -"
+         " 23*<<<x2,x4>,x3>,x1> - 40*<<<x3,x1>,x2>,x4> +"
+         " 22*<<<x3,x1>,x4>,x2> + 16*<<<x3,x2>,x1>,x4> +"
+         " 11*<<<x3,x2>,x4>,x1> + 14*<<<x3,x4>,x1>,x2> - 9*<<<x3,x4>,x2>,x1>"
+         " - 32*<<<x4,x1>,x2>,x3> + 18*<<<x4,x1>,x3>,x2> + <<<x4,x2>,x1>,x3>"
+         " + 13*<<<x4,x2>,x3>,x1> + 2*<<<x4,x3>,x1>,x2> -"
+         " 3*<<<x4,x3>,x2>,x1>"),
     ],
 }
 

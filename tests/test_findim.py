@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,10 +11,35 @@ from mutperm.findim import (MAX_DIM, FiniteAlgebra, change_of_basis,
                             dump_algebra, evaluate, jacobi_test,
                             lie_admissible_criterion, load_algebra,
                             mutation_algebra, mutations_lie_admissible,
-                            random_vector, satisfies)
+                            satisfies)
 from mutperm.perm import Elt, bracket, mono_mul
 from mutperm.terms import TEMPLATES, Template, TermPoly, multilinearize, parse
-from mutperm.verify import _prop35, criterion_satisfying_samples
+from mutperm.verify import _prop35
+
+
+def random_vector(rng, dim):
+    return [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
+
+
+def criterion_satisfying_samples(rng, count):
+    """Random algebras satisfying the Lie-admissibility criterion, built
+    by change of basis from tables known to satisfy it."""
+    zero2 = FiniteAlgebra(2)
+    bicomm = FiniteAlgebra(2)
+    bicomm.table[0][0][1] = Fraction(1)
+    comm3 = FiniteAlgebra(3)   # e1 idempotent, otherwise zero
+    comm3.table[0][0][0] = Fraction(1)
+    catalog = [bicomm, comm3, zero2]
+    out = []
+    while len(out) < count:
+        base = catalog[len(out) % len(catalog)]
+        s = [[Fraction(rng.randint(-2, 2)) for _ in range(base.dim)]
+             for _ in range(base.dim)]
+        try:
+            out.append(change_of_basis(base, s))
+        except ValueError:
+            continue
+    return out
 
 
 def matrix2x2():
@@ -363,5 +389,11 @@ def test_lattice_check_needs_the_degree_two_points():
 
 
 def test_lattice_check_passes_on_criterion_samples():
-    for a in criterion_satisfying_samples(random.Random(9), 3):
+    """A sampled cross-check of verify.check_lie_admissibility's proof:
+    20 criterion-satisfying algebras, every lattice mutation of each."""
+    points = 0
+    for a in criterion_satisfying_samples(random.Random(11), 20):
+        assert lie_admissible_criterion(a) == (True, None)
         assert mutations_lie_admissible(a) == (True, None)
+        points += math.comb(2 * a.dim + 2, 2)
+    assert points == 391

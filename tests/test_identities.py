@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mutperm import identities
+from mutperm import identities, verify
 from mutperm.identities import (_DegreeSpace, _as_poly_at_x, _lift_maps,
                                 consequence_span, expansion_matrix,
                                 identity_kernel, kernel_multiplicities,
@@ -15,7 +16,7 @@ from mutperm.linalg import (Matrix, SpanReducer, _to_int_row, kernel_basis,
 from mutperm.mutation import expand
 from mutperm.perm import mono_key
 from mutperm.symmetric import dimension, grow
-from mutperm.terms import (TEMPLATES, TermPoly, bnode, mnode,
+from mutperm.terms import (TEMPLATES, Template, TermPoly, bnode, mnode,
                            multilinearize, parse, rename_leaves, substitute,
                            term_vars)
 from mutperm.verify import PAPER_MATRIX_3, permutation_matrix_deg3
@@ -338,7 +339,8 @@ def test_new_identities_degree4():
 def trial_loop_new_identities(known, n):
     """Oracle for new_identities' greedy choice: in each round, copy the
     span, insert the whole orbit of each candidate's residue into the
-    copy and read off the dimension gain; the first largest gain wins.
+    copy and read off the dimension gain; the first largest gain wins,
+    and its residue divided by the gcd of its coefficients is reported.
     Returns the report and, per round, the span before it (its pivot
     rows) and every candidate's gain."""
     basis = magmatic_basis(n)
@@ -373,8 +375,9 @@ def trial_loop_new_identities(known, n):
             if best is None or gains[-1] > best[0]:
                 best = (gains[-1], residue)
         rounds.append((dict(red.pivot_rows), gains))
-        reps.append(vec_to_poly({k: Fraction(c) for k, c in best[1].items()},
-                                basis))
+        content = math.gcd(*best[1].values())
+        reps.append(vec_to_poly({k: Fraction(c, content)
+                                 for k, c in best[1].items()}, basis))
         for ov in orbit(best[1]):
             red.insert(ov)
     report = {"kernel_dim": kdim, "consequence_dim": len(cons),
@@ -445,6 +448,16 @@ def test_new_identities_against_trial_loop_seeded(seed):
         assert_same_report(new_identities(known, n), want)
         for pivot_rows, gains in rounds[:1]:
             assert orbit_gains(pivot_rows, kb, n) == gains
+
+
+@pytest.mark.parametrize("names", [(), KNOWN4])
+def test_new_identities_representatives_are_primitive(names):
+    rep = new_identities([TEMPLATES[name] for name in names], 4)
+    assert rep["representatives"]
+    for poly in rep["representatives"]:
+        coeffs = list(poly.terms.values())
+        assert all(c.denominator == 1 for c in coeffs)
+        assert math.gcd(*map(int, coeffs)) == 1
 
 
 def dims(report):
@@ -527,6 +540,16 @@ def test_criterion_makes_every_mutation_lie_admissible():
     for part in map(multilinearize, parts.values()):
         assert tideal_membership(part, crit36, kind="m")
         assert not tideal_membership(part, [], kind="m")
+
+
+def test_lie_admissibility_check_fails_for_a_wrong_criterion(monkeypatch):
+    """verify.check_lie_admissibility compares terms, so against twice
+    crit36 it fails and names the first Jacobiator part."""
+    crit36 = TEMPLATES["crit36"]
+    monkeypatch.setitem(verify.TEMPLATES, "crit36",
+                        Template("crit36", crit36.slots, crit36.body.scale(2)))
+    assert verify.check_lie_admissibility() == \
+        (False, "Jacobiator part (2, 0) is not -crit36")
 
 
 def test_tideal_membership_rejects_nonlinear_target():
