@@ -1,10 +1,13 @@
 """Finite-dimensional evidence: separating identities and Lie-admissibility.
 
 A small structure-constant table can separate identities that agree on
-low-degree data.  Random mutations of a criterion-satisfying algebra
-illustrate criterion 11, which the lie-admissibility check of
-``mutperm verify-paper`` proves for every algebra; an algebra that fails
-the criterion has a mutation that breaks Jacobi.
+low-degree data.  Criterion 11: every mutation of an algebra is
+Lie-admissible iff the algebra satisfies crit36, which the
+lie-admissibility check of ``mutperm verify-paper`` proves for every
+algebra.  Random mutations of a criterion-satisfying algebra illustrate
+one direction; for an algebra that fails the criterion, the crit36
+witness (i, j, k, l, m) names a mutation that breaks Jacobi, at
+(p, q) = (e_l, e_m) or (e_l, -e_m).
 """
 
 import random
@@ -50,7 +53,7 @@ for _ in range(5):
 print("  5 random mutations, Jacobi for the commutator:", results)
 
 print("\nA random search for a 3-dimensional algebra that FAILS the")
-print("criterion, together with a mutation of it that breaks Jacobi:")
+print("criterion; its witness names a mutation that breaks Jacobi:")
 rng = random.Random(4)
 while True:
     c = FiniteAlgebra(3)
@@ -58,18 +61,16 @@ while True:
         for j in range(3):
             for k in range(3):
                 c.table[i][j][k] = Fraction(rng.randint(-1, 1))
-    ok, _ = lie_admissible_criterion(c)
+    ok, witness = lie_admissible_criterion(c)
     if not ok:
         break
 print("  criterion holds:", ok)
-for _ in range(200):
-    p = random_vector(rng, 3)
-    q = random_vector(rng, 3)
-    holds, witness = jacobi_test(mutation_algebra(c, p, q))
+(i, j, k, l, m), _ = witness
+print(f"  crit36 polarized is nonzero at basis tuple {(i, j, k, l, m)}")
+for sign in (1, -1):
+    p, q = c.basis(l), [sign * v for v in c.basis(m)]
+    holds, triple = jacobi_test(mutation_algebra(c, p, q))
     if not holds:
-        print(f"  mutation at p={[int(v) for v in p]}, "
-              f"q={[int(v) for v in q]} fails Jacobi at basis "
-              f"triple {witness}")
         break
-else:
-    print("  (no failing mutation in this sample)")
+print(f"  mutation at p={[int(v) for v in p]}, q={[int(v) for v in q]} "
+      f"fails Jacobi at basis triple {triple}")

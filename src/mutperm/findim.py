@@ -21,9 +21,9 @@ import os
 from fractions import Fraction
 from operator import itemgetter
 
-from .linalg import Matrix, rref, signed_sum, solve
-from .terms import (TEMPLATES, Template, TermPoly, mnode, multilinearize,
-                    term_vars)
+from .linalg import signed_sum
+from .terms import (TEMPLATES, Template, TermPoly, fold, mnode,
+                    multilinearize, term_vars)
 
 # Largest dimension load_algebra accepts.  FiniteAlgebra holds a dense
 # dim x dim x dim table, so a file naming dim 2000 would ask for 8e9
@@ -175,26 +175,21 @@ def evaluate(a, poly, assignment, p=None, q=None):
         p = _frac_list(p, a.dim)
         q = _frac_list(q, a.dim)
     vecs = {name: _frac_list(v, a.dim) for name, v in assignment.items()}
-    cache = {}
 
-    def go(t):
-        if t in cache:
-            return cache[t]
-        if t[0] == "v":
-            v = vecs.get(t[1])
-            if v is None:
-                raise ValueError(f"unassigned variable {t[1]!r}")
-        else:
-            x, y = go(t[1]), go(t[2])
-            if t[0] == "m" or p is None:
-                v = a.mul(x, y)
-            else:
-                xp_y = a.mul(a.mul(x, p), y)
-                yq_x = a.mul(a.mul(y, q), x)
-                v = [u - w for u, w in zip(xp_y, yq_x)]
-        cache[t] = v
+    def leaf(name):
+        v = vecs.get(name)
+        if v is None:
+            raise ValueError(f"unassigned variable {name!r}")
         return v
 
+    def node(kind, x, y):
+        if kind == "m" or p is None:
+            return a.mul(x, y)
+        xp_y = a.mul(a.mul(x, p), y)
+        yq_x = a.mul(a.mul(y, q), x)
+        return [u - w for u, w in zip(xp_y, yq_x)]
+
+    go = fold(leaf, node)
     out = a.zero()
     for t, c in poly.terms.items():
         v = go(t)
@@ -390,69 +385,15 @@ def jacobi_test(a):
     return ok, None if ok else witness[0]
 
 
-def _lattice(k, d):
-    """The points of L(k, d) = {c in N^k : |c| <= d}, lexicographically."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(d + 1):
-        for rest in _lattice(k - 1, d - first):
-            yield (first,) + rest
-
-
-def mutations_lie_admissible(a):
-    """Is every (p, q)-mutation of a Lie-admissible?  Decided exactly.
-
-    The mutation product (x p) y - (y q) x has structure constants linear
-    in the k = 2 dim coordinates of (p, q), so each coordinate of its
-    Jacobiator on a basis triple is a polynomial of degree <= 2 in them.
-    A polynomial P of degree <= d that vanishes on the lattice
-    L(k, d) = {c in N^k : |c| <= d} is zero, by induction on k and d:
-    P(c', 0) vanishes on L(k - 1, d), hence is 0, so P = c_k Q with
-    deg Q <= d - 1, and Q(c + e_k) vanishes on L(k, d - 1).  Hence checking the
-    C(k + 2, 2) mutations at the points of L(k, 2) (28 for dim 3) with
-    ``jacobi_test`` decides all of them.  Returns (yes, None), or
-    (no, (p, q, (i, j, k))) for the first failing lattice point (p, q) in
-    lexicographic order.
-    """
-    for c in _lattice(2 * a.dim, 2):
-        p = [Fraction(x) for x in c[:a.dim]]
-        q = [Fraction(x) for x in c[a.dim:]]
-        ok, triple = jacobi_test(mutation_algebra(a, p, q))
-        if not ok:
-            return False, (p, q, triple)
-    return True, None
-
-
 def lie_admissible_criterion(a):
-    """The degree-5 product identity whose validity makes every mutation
-    of a Lie-admissible (proved for every algebra by
-    ``verify.check_lie_admissibility``); checked via its full
-    linearization on basis tuples.  Returns (yes, None) or (no, witness)."""
-    return satisfies(a, TEMPLATES["crit36"])
-
-
-def change_of_basis(a, s):
-    """The same algebra expressed in the basis f_i = sum_j s[i][j] e_j.
-
-    ``s`` must be invertible.  Identities are invariant under this, so
-    conjugating a known identity-satisfying table yields fresh samples.
+    """Criterion 11: every (p, q)-mutation of a is Lie-admissible iff a
+    satisfies the degree-5 product identity crit36, checked via its full
+    linearization L on basis tuples.  ``verify.check_lie_admissibility``
+    proves both directions for every algebra.  Returns (yes, None) or
+    (no, witness) with ``satisfies``' witness ((i, j, k, l, m), value),
+    value = L(e_i, e_j, e_k, e_l, e_m) in the polarized variables
+    (a, b, c, y#1, y#2).  At (e_i, e_j, e_k), the Jacobiator of the
+    mutation at (p, q) = (e_l, e_m) minus that at (e_l, -e_m) is
+    -2 value, so one of those two mutations fails Jacobi there.
     """
-    s = [[Fraction(c) for c in row] for row in s]
-    # row j of the system: sum_m s[m][j] c_m = v_j
-    rows = [{m: s[m][j] for m in range(a.dim) if s[m][j]}
-            for j in range(a.dim)]
-    mat = Matrix(rows, a.dim)
-    if rref(mat)[1] != a.dim:
-        raise ValueError("basis matrix is singular")
-
-    def to_new_basis(v):
-        sol = solve(mat, {i: c for i, c in enumerate(v) if c})
-        return [sol.get(i, Fraction(0)) for i in range(a.dim)]
-
-    out = FiniteAlgebra(a.dim, a.names)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            prod = a.mul(s[i], s[j])
-            out.table[i][j] = to_new_basis(prod)
-    return out
+    return satisfies(a, TEMPLATES["crit36"])

@@ -148,8 +148,11 @@ def cohn_check(req, target):
     the two ideal components of the request.
 
     Returns {in_perm_ideal, in_mutation_ideal, system, rhs, monomials,
-    unknowns, solution, verdict}; the system has one equation per perm
-    monomial, unknowns lambda_i matching mutation_ideal_words order.
+    unknowns, words, solution, certificate, verdict}; the system has one
+    equation per perm monomial, unknowns lambda_i matching the rendered
+    ``words`` of mutation_ideal_words.  ``certificate`` is the
+    unsolvable system's certificate from ``linalg.solve`` when the target
+    is not in the mutation-side span, else None.
     The verdict is "exceptional image certified" exactly when the target
     is in the perm-side span but not the mutation-side span.
     """

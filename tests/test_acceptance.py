@@ -70,8 +70,8 @@ CRITERIA = [
                         "degree-5 kernel"),
     ("cohn-certificate", "criterion 10: exceptional homomorphic image "
                          "certified"),
-    ("lie-admissibility", "criterion 11: criterion-satisfying algebras "
-                          "give Lie-admissible mutations"),
+    ("lie-admissibility", "criterion 11: an algebra satisfies crit36 iff "
+                          "every mutation is Lie-admissible"),
     ("infrastructure", "criterion 12: dimensions, counts and linear "
                        "algebra self-checks"),
 ]

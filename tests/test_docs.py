@@ -4,7 +4,8 @@ Each ```python block of README.md is run as a doctest, and each line of
 the command-line block is parsed by the CLI's argument parser.  Plain
 ``python -m doctest README.md`` cannot do this: it reads the closing
 fence after an example's expected output as part of that output.  Every
-backticked dotted name of the package that the README mentions exists.
+backticked dotted name of the package that the README mentions exists,
+and so does every name in its module map.
 """
 
 import doctest
@@ -82,6 +83,21 @@ def test_readme_dotted_names_exist():
             functools.reduce(getattr, rest, heads[head])
         except AttributeError:
             missing.append(name)
+    assert not missing
+
+
+def test_module_map_names_exist():
+    """Every bare backticked name in a `mutperm.X` row of the README's
+    module map, such as `satisfies` or `product`, is a name the package
+    holds or an attribute of one of its classes."""
+    text = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `mutperm\.\w+` \|.*$", text, re.M)
+    names = [n for row in rows for n in re.findall(r"`(\w+)`", row)]
+    assert len(names) >= 20
+    heads = package_heads()
+    classes = [v for v in heads.values() if isinstance(v, type)]
+    missing = [n for n in names if n not in heads
+               and not any(hasattr(cls, n) for cls in classes)]
     assert not missing
 
 

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from mutperm.findim import (MAX_DIM, FiniteAlgebra, change_of_basis,
+from mutperm.findim import (_JACOBIATOR, MAX_DIM, FiniteAlgebra,
                             dump_algebra, evaluate, jacobi_test,
                             lie_admissible_criterion, load_algebra,
-                            mutation_algebra, mutations_lie_admissible,
-                            satisfies)
+                            mutation_algebra, satisfies)
+from mutperm.linalg import Matrix, rref, solve
 from mutperm.perm import Elt, bracket, mono_mul
 from mutperm.terms import TEMPLATES, Template, TermPoly, multilinearize, parse
 from mutperm.verify import _prop35
@@ -19,6 +19,81 @@ from mutperm.verify import _prop35
 
 def random_vector(rng, dim):
     return [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
+
+
+def change_of_basis(a, s):
+    """The same algebra expressed in the basis f_i = sum_j s[i][j] e_j.
+
+    ``s`` must be invertible.  Identities are invariant under this, so
+    conjugating a known identity-satisfying table yields fresh samples.
+    """
+    s = [[Fraction(c) for c in row] for row in s]
+    # row j of the system: sum_m s[m][j] c_m = v_j
+    rows = [{m: s[m][j] for m in range(a.dim) if s[m][j]}
+            for j in range(a.dim)]
+    mat = Matrix(rows, a.dim)
+    if rref(mat)[1] != a.dim:
+        raise ValueError("basis matrix is singular")
+
+    def to_new_basis(v):
+        sol = solve(mat, {i: c for i, c in enumerate(v) if c})
+        return [sol.get(i, Fraction(0)) for i in range(a.dim)]
+
+    out = FiniteAlgebra(a.dim, a.names)
+    for i in range(a.dim):
+        for j in range(a.dim):
+            prod = a.mul(s[i], s[j])
+            out.table[i][j] = to_new_basis(prod)
+    return out
+
+
+def lattice(k, d):
+    """The points of L(k, d) = {c in N^k : |c| <= d}, lexicographically."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(d + 1):
+        for rest in lattice(k - 1, d - first):
+            yield (first,) + rest
+
+
+def lattice_lie_admissible(a):
+    """Is every (p, q)-mutation of a Lie-admissible?  Decided exactly, by
+    a search independent of crit36.
+
+    The mutation product (x p) y - (y q) x has structure constants linear
+    in the k = 2 dim coordinates of (p, q), so each coordinate of its
+    Jacobiator on a basis triple is a polynomial of degree <= 2 in them.
+    A polynomial P of degree <= d that vanishes on the lattice
+    L(k, d) = {c in N^k : |c| <= d} is zero, by induction on k and d:
+    P(c', 0) vanishes on L(k - 1, d), hence is 0, so P = c_k Q with
+    deg Q <= d - 1, and Q(c + e_k) vanishes on L(k, d - 1).  Hence checking
+    the C(k + 2, 2) mutations at the points of L(k, 2) (28 for dim 3) with
+    ``jacobi_test`` decides all of them.  Returns (yes, None), or
+    (no, (p, q, (i, j, k))) for the first failing lattice point (p, q) in
+    lexicographic order.
+    """
+    for c in lattice(2 * a.dim, 2):
+        p = [Fraction(x) for x in c[:a.dim]]
+        q = [Fraction(x) for x in c[a.dim:]]
+        ok, triple = jacobi_test(mutation_algebra(a, p, q))
+        if not ok:
+            return False, (p, q, triple)
+    return True, None
+
+
+def random_algebras(rng, count):
+    """Random tables of dims 1 to 3 with integer entries, from sparse to
+    dense."""
+    out = []
+    for n in range(count):
+        dim, density = 1 + n % 3, (0.1, 0.3, 0.6)[n // 3 % 3]
+        a = FiniteAlgebra(dim)
+        for i, j, k in itertools.product(range(dim), repeat=3):
+            if rng.random() < density:
+                a.table[i][j][k] = Fraction(rng.choice((1, -1, 2)))
+        out.append(a)
+    return out
 
 
 def criterion_satisfying_samples(rng, count):
@@ -365,7 +440,7 @@ def test_lattice_check_finds_non_lie_admissible_mutation():
     a = FiniteAlgebra(3)
     for i, j, k in itertools.product(range(3), repeat=3):
         a.table[i][j][k] = Fraction(rng.choice((0, 0, 1, -1)))
-    ok, (p, q, triple) = mutations_lie_admissible(a)
+    ok, (p, q, triple) = lattice_lie_admissible(a)
     assert not ok
     assert (p, q) == (a.zero(), a.basis(2))
     assert oracle_jacobi(mutation_algebra(a, p, q)) == (False, triple)
@@ -382,7 +457,7 @@ def test_lattice_check_needs_the_degree_two_points():
     for u in [zero] + [a.basis(i) for i in range(3)]:
         assert oracle_jacobi(mutation_algebra(a, u, zero))[0]
         assert oracle_jacobi(mutation_algebra(a, zero, u))[0]
-    ok, (p, q, triple) = mutations_lie_admissible(a)
+    ok, (p, q, triple) = lattice_lie_admissible(a)
     assert not ok
     assert (p, q) == (zero, [0, 1, 1])
     assert oracle_jacobi(mutation_algebra(a, p, q)) == (False, triple)
@@ -394,6 +469,39 @@ def test_lattice_check_passes_on_criterion_samples():
     points = 0
     for a in criterion_satisfying_samples(random.Random(11), 20):
         assert lie_admissible_criterion(a) == (True, None)
-        assert mutations_lie_admissible(a) == (True, None)
+        assert lattice_lie_admissible(a) == (True, None)
         points += math.comb(2 * a.dim + 2, 2)
     assert points == 391
+
+
+def test_criterion_agrees_with_lattice_search():
+    """Criterion 11 as an equivalence: the crit36 scan and the lattice
+    search give the same verdict, on algebras of both kinds."""
+    verdicts = []
+    for a in random_algebras(random.Random(12), 54):
+        ok, _ = lie_admissible_criterion(a)
+        assert ok == lattice_lie_admissible(a)[0]
+        verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
+def test_criterion_witness_gives_non_lie_admissible_mutation():
+    """A crit36 witness ((i, j, k, l, m), L) names the mutations at
+    (e_l, e_m) and (e_l, -e_m): their Jacobiators at (e_i, e_j, e_k)
+    differ by -2 L, so one of the two fails Jacobi."""
+    failures = 0
+    for a in random_algebras(random.Random(13), 54):
+        ok, witness = lie_admissible_criterion(a)
+        if ok:
+            continue
+        failures += 1
+        (i, j, k, l, m), value = witness
+        triple = {"a": a.basis(i), "b": a.basis(j), "c": a.basis(k)}
+        muts = [mutation_algebra(a, a.basis(l), [s * x for x in a.basis(m)])
+                for s in (1, -1)]
+        plus, minus = (evaluate(mut, _JACOBIATOR.body, triple)
+                       for mut in muts)
+        assert [u - w for u, w in zip(plus, minus)] == [-2 * v
+                                                        for v in value]
+        assert not all(jacobi_test(mut)[0] for mut in muts)
+    assert failures > 0

@@ -114,7 +114,7 @@ def test_image_multiplicities_match_multilinear_B(n):
 
 @pytest.mark.parametrize("names,n,dim", [
     (("f",), 4, 20), (("wa",), 4, 72), (("f", "conj4b"), 4, 41),
-    (("f", "conj4b"), 5, 1039)])
+    (("f", "conj4b"), 5, 1039), (("f", "wa"), 3, 5)])
 def test_per_lambda_totals_match_consequence_span(names, n, dim):
     known = [TEMPLATES[name] for name in names]
     _, caps = kernel_multiplicities(n)
