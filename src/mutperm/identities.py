@@ -57,9 +57,10 @@ def _expansion(n):
     r-th leaf word.
 
     Renaming x-generators is an automorphism of the free perm algebra
-    that fixes p and q and commutes with the bracket (``ComponentSpan``),
-    so only the tree of each shape at x1..xn is expanded: at the leaf
-    word w the row is its expansion renamed by x_i -> w_i, term for term.
+    that fixes p and q and commutes with the bracket
+    (``mutation._canonical``), so only the tree of each shape at x1..xn
+    is expanded: at the leaf word w the row is its expansion renamed by
+    x_i -> w_i, term for term.
     """
     basis = magmatic_basis(n)
     names = _xnames(n)

@@ -328,8 +328,7 @@ class SpanReducer:
 
     Rows are kept fraction-free (coprime integer entries, positive leading
     coefficient), one per pivot column.  Inserts keep forward echelon form
-    only, which is all the big consequence-span computations need;
-    ``reduced_rows`` back-substitutes on demand.
+    only, which is all the big consequence-span computations need.
 
     A vector is reduced by cancelling its leading column against the
     pivot row there until that column has no pivot row.  Its columns are
@@ -381,15 +380,3 @@ class SpanReducer:
             return False
         self.pivot_rows[min(r)] = r
         return True
-
-    def reduced_rows(self):
-        """Primitive integer rows in pivot order, back-substituted so each
-        is positive at its pivot (its first column) and 0 at the others."""
-        reduced = {}
-        for c in sorted(self.pivot_rows, reverse=True):
-            row = dict(self.pivot_rows[c])
-            for d in reversed(reduced):
-                if d in row:
-                    _cancel(row, d, reduced[d], [])
-            reduced[c] = _primitive(row)
-        return list(reversed(reduced.values()))

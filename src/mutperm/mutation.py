@@ -170,89 +170,17 @@ def _key(multidegree):
     return tuple(sorted((n, c) for n, c in multidegree.items() if c))
 
 
-def _component(key, cache):
-    """The ComponentSpan of a multidegree key, memoised in ``cache``."""
-    span = cache.get(key)
-    if span is None:
-        span = cache[key] = ComponentSpan(dict(key), cache)
-    return span
-
-
-class ComponentSpan:
-    """The span S_m of the bracket expansions at multidegree m.
-
-    A bracket monomial of degree >= 2 is <u, v> with u, v bracket
-    monomials whose nonzero multidegrees m1, m2 add up to m.  The bracket
-    is bilinear, so S_m is spanned by <a, b> over all ordered splits
-    (m1, m2), with a running over any basis of S_m1 and b over any basis
-    of S_m2; the component of a single letter x is spanned by x.  Each
-    sub-component comes from one component per multiplicity pattern:
-    S_m1 gets the basis of m1's canonical pattern (``_canonical``) renamed
-    back.  An injective renaming of x-generators extends to an automorphism
-    of the free perm algebra that fixes p and q and commutes with the
-    bracket, so it maps the bracket monomials and any basis of S_m onto
-    those of the renamed component.  Canonical components are memoised in
-    ``_cache`` by key.  Every product is inserted when the span is built.
-
-    This is the bilinear certificate of ``verify_basis_B``, independent of
-    the closed form in ``is_mutation_element``.  ``full_basis()`` is
-    reduced (``SpanReducer.reduced_rows``): no element is nonzero at
-    another's pivot monomial, so each has at most 1 + (monomials - rank)
-    terms and the brackets built on it stay cheap.
-    """
-
-    def __init__(self, multidegree, _cache=None):
-        self.multidegree = {n: c for n, c in multidegree.items() if c}
-        if sum(self.multidegree.values()) < 1:
-            raise ValueError("total degree must be >= 1")
-        self._cache = {} if _cache is None else _cache
-        self.reducer = SpanReducer()
-        self._columns = {}
-        for e in self._products():
-            self.reducer.insert(sparse_vec(e.terms, self._columns))
-        monos = list(self._columns)
-        self._basis = [Elt({monos[k]: c for k, c in row.items()})
-                       for row in self.reducer.reduced_rows()]
-
-    def _sub_basis(self, multidegree):
-        """The full basis of ``multidegree``'s pattern, renamed back."""
-        ckey, mapping = _canonical(_key(multidegree))
-        back = {v: k for k, v in mapping.items()}
-        return [_rename(b.terms, back)
-                for b in _component(ckey, self._cache).full_basis()]
-
-    def _products(self):
-        md = self.multidegree
-        names = sorted(md, key=gkey)
-        if sum(md.values()) == 1:
-            yield Elt.gen(names[0])
-            return
-        for counts in itertools.product(*(range(md[n] + 1) for n in names)):
-            m1 = dict(zip(names, counts))
-            m2 = {n: md[n] - m1[n] for n in names}
-            if not any(counts) or not any(m2.values()):
-                continue
-            right = self._sub_basis(m2)
-            for a in self._sub_basis(m1):
-                for b in right:
-                    yield bracket(a, b)
-
-    def full_basis(self):
-        """A reduced basis of the component."""
-        return self._basis
-
-    def contains(self, e):
-        return self.reducer.contains(sparse_vec(e.terms, self._columns))
-
-
 def _canonical(key):
     """Relabel x-variables so a multidegree key becomes a canonical pattern.
 
-    Bracket spans are equivariant under renaming the x-generators (see
-    ``ComponentSpan``), so one component per multiplicity pattern (largest
-    multiplicity first, ties by original order) serves membership targets
-    renamed to it and sub-components renamed back from it.  Returns the
-    canonical key and the renaming that produces it.
+    An injective renaming of x-generators extends to an automorphism of
+    the free perm algebra that fixes p and q.  It commutes with the
+    bracket <u, v> = (u p) v - (v q) u, so it maps the bracket monomials
+    of a multidegree, and the span of their expansions, onto those of the
+    renamed multidegree.  One span per multiplicity pattern (largest
+    multiplicity first, ties by original order) thus serves every
+    multidegree renamed to it.  Returns the canonical key and the
+    renaming that produces it.
     """
     ranked = sorted(key, key=lambda nc: (-nc[1], gkey(nc[0])))
     mapping = {name: _xname(i + 1) for i, (name, _) in enumerate(ranked)}
@@ -327,29 +255,32 @@ def is_mutation_element(e, _cache=None):
                     for i, s in enumerate(sigma)))
 
 
-def _in_component_spans(e, cache):
-    """Whether every part of e by x-multidegree has the mutation grading
-    and lies in its ComponentSpan, the bilinear certificate of
-    ``verify_basis_B``; components are memoised in ``cache``."""
-    parts = {}
-    for m, c in e.terms.items():
-        xs = sorted(g for g in m[0] + (m[1],) if is_x(g))
-        # parameter degree len(m[0]) + 1 - len(xs) must be len(xs) - 1
-        if len(m[0]) + 2 != 2 * len(xs):
-            return False
-        parts.setdefault(tuple(xs), {})[m] = c
-    for xs, terms in parts.items():
-        ckey, mapping = _canonical(_key(Counter(xs)))
-        if not _component(ckey, cache).contains(_rename(terms, mapping)):
-            return False
-    return True
-
-
 def _multidegrees(n_vars, degree):
     """All x-multidegrees of exact total ``degree`` over x1..x{n_vars}."""
     for combo in itertools.combinations_with_replacement(
             range(1, n_vars + 1), degree):
         yield dict(Counter(_xname(i) for i in combo))
+
+
+def _bracket_span(key, by_mdeg):
+    """T_c for the multidegree key c, with its columns: the span of c's
+    letter if |c| = 1, else of the brackets <a, b> with a in B_m1 and b in
+    B_m2 (``by_mdeg``) over the ordered splits m1 + m2 = c into nonzero
+    multidegrees."""
+    md = dict(key)
+    names = sorted(md, key=gkey)
+    span, columns = SpanReducer(), {}
+    if sum(md.values()) == 1:
+        span.insert(sparse_vec(Elt.gen(names[0]).terms, columns))
+        return span, columns
+    for counts in itertools.product(*(range(md[n] + 1) for n in names)):
+        m2 = {n: md[n] - c for n, c in zip(names, counts)}
+        if any(counts) and any(m2.values()):
+            right = by_mdeg.get(_key(m2), [])
+            for a in by_mdeg.get(_key(dict(zip(names, counts))), []):
+                for b in right:
+                    span.insert(sparse_vec(bracket(a, b).terms, columns))
+    return span, columns
 
 
 def verify_basis_B(n_vars, degree, closure_degree=None):
@@ -361,15 +292,27 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
     x-multidegrees m of span B_m, B_m being the B elements of multidegree
     m.  For each m over x1..x{n_vars} with 1 <= |m| <= ``degree``, B_m
     goes into its own reducer, of rank r_m.  B is independent when every
-    r_m = |B_m|.  B spans when every part of every B element lies in its
-    ComponentSpan (so span B_m lies in the span S_m of the bracket
-    expansions at m; the closed form of ``is_mutation_element`` is not
-    used) and every r_m = dim S_m, the ComponentSpan basis size at the
-    canonical relabelling of m (renaming x-variables preserves bracket
-    spans); then span B_m = S_m.  Closure follows from spanning: a
-    bracket of bracket monomials is one, so <S_m1, S_m2> lies in
-    S_(m1+m2) = span B_(m1+m2) when |m1| + |m2| <= ``degree``.
-    ``closure_degree`` may be None or at most ``degree``; B is not
+    r_m = |B_m|.
+
+    B spans when, for every m with canonical pattern c (``_canonical``),
+    B_m renamed to c lies in T_c and r_m = dim T_c.  T_c is spanned by x1
+    if |c| = 1, and otherwise by the brackets <a, b> with a in B_m1 and b
+    in B_m2 over the ordered splits m1 + m2 = c into nonzero multidegrees.
+    Proof, by induction on |m|, that then span B_m = S_m, the span of the
+    expansions of the bracket monomials of multidegree m.  S_x is spanned
+    by x.  For |m| >= 2 a bracket monomial is <u, v> with u, v bracket
+    monomials of multidegrees m1 + m2 = m, so by bilinearity S_m is
+    spanned by <a, b> over bases a of S_m1 and b of S_m2.  The splits of
+    c are over x1..xk with k <= n_vars and have smaller degree, so by
+    induction S_m1 = span B_m1, and T_c = S_c.  B_m renamed lies in S_c
+    and has rank dim S_c, so it spans S_c; renaming back (``_canonical``)
+    gives span B_m = S_m.  The closed form of ``is_mutation_element`` is
+    not used.
+
+    Closure is the same flag: when B spans, <B_m1, B_m2> lies in
+    S_(m1+m2) = span B_(m1+m2) whenever |m1| + |m2| <= ``degree``, and at
+    a canonical pattern c the check tests this literally, as span B_c =
+    T_c.  ``closure_degree`` may be None or at most ``degree``; B is not
     certified above ``degree``, so a larger value raises ValueError.
     """
     if degree < 2:
@@ -377,15 +320,13 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
     if closure_degree is not None and closure_degree > degree:
         raise ValueError(f"closure_degree {closure_degree} exceeds "
                          f"degree {degree}")
-    elements = enumerate_B(n_vars, degree)
     by_mdeg = {}
-    for b in elements:
+    for b in enumerate_B(n_vars, degree):
         key = _key(x_multidegree(next(iter(b.value.terms))))
         by_mdeg.setdefault(key, []).append(b.value)
 
-    cache = {}
-    spans = all(_in_component_spans(b.value, cache) for b in elements)
-    independent = True
+    bracket_spans = {}
+    independent = spans = True
     for d in range(1, degree + 1):
         for mdeg in _multidegrees(n_vars, d):
             key = _key(mdeg)
@@ -393,9 +334,14 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
             red, columns = SpanReducer(), {}
             rank = sum(red.insert(sparse_vec(v.terms, columns)) for v in group)
             independent = independent and rank == len(group)
-            ckey, _ = _canonical(key)
-            if rank != len(_component(ckey, cache).full_basis()):
-                spans = False
+            ckey, mapping = _canonical(key)
+            if ckey not in bracket_spans:
+                bracket_spans[ckey] = _bracket_span(ckey, by_mdeg)
+            span, columns = bracket_spans[ckey]
+            spans = spans and rank == span.dim and all(
+                span.contains(sparse_vec(_rename(v.terms, mapping).terms,
+                                         columns))
+                for v in group)
 
     ml_key = _key(dict.fromkeys(map(_xname, range(1, n_vars + 1)), 1))
     return {"independent": independent, "spans": spans,

@@ -10,7 +10,7 @@ BUDGETS = {
     "degree3-expansions": 1,
     "bracket-relations": 1,
     "mutation-elements": 1,
-    "basis-B": 2,
+    "basis-B": 1,
     "vanishing-identities": 0.5,
     "degree3-identities": 1,
     "counterexample-algebra": 1,

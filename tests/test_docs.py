@@ -8,9 +8,11 @@ backticked dotted name of the package that the README mentions exists,
 and so does every name in its module map.
 """
 
+import ast
 import doctest
 import functools
 import importlib
+import inspect
 import pkgutil
 import re
 import runpy
@@ -98,6 +100,61 @@ def test_module_map_names_exist():
     classes = [v for v in heads.values() if isinstance(v, type)]
     missing = [n for n in names if n not in heads
                and not any(hasattr(cls, n) for cls in classes)]
+    assert not missing
+
+
+def _init_attributes(cls):
+    """The attribute names that ``cls.__init__`` assigns on self."""
+    init = vars(cls).get("__init__")
+    if not isinstance(init, types.FunctionType):
+        return set()
+    return set(re.findall(r"self\.(\w+)\s*=", inspect.getsource(init)))
+
+
+_MISSING = object()
+
+
+def _resolves(name, namespace, heads):
+    """Whether a dotted name resolves from ``namespace`` or ``heads``; its
+    last part may also be an attribute that its class's ``__init__``
+    assigns, such as ``_DegreeSpace.transpositions``."""
+    head, *rest = name.split(".")
+    obj = namespace[head] if head in namespace else heads.get(head, _MISSING)
+    for i, attr in enumerate(rest):
+        if hasattr(obj, attr):
+            obj = getattr(obj, attr)
+        else:
+            return (i == len(rest) - 1 and isinstance(obj, type)
+                    and attr in _init_attributes(obj))
+    return obj is not _MISSING
+
+
+def docstring_references(module):
+    """The double-backticked names in the docstrings of ``module``'s
+    source that are dotted (``linalg.solve``) or CamelCase
+    (``SpanReducer``)."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docs = [ast.get_docstring(n) or "" for n in ast.walk(tree)
+            if isinstance(n, kinds)]
+    return [name for doc in docs for name in re.findall(r"``(.+?)``", doc)
+            if re.fullmatch(r"\w+(\.\w+)+", name)
+            or re.fullmatch(r"_?[A-Z][a-z]+([A-Z][a-z]*)*", name)]
+
+
+def test_docstring_references_resolve():
+    """Every dotted or CamelCase name a ``src/mutperm`` docstring cites
+    resolves, through its module's namespace or a package name, or, for
+    a class, through an attribute that its ``__init__`` assigns; a
+    docstring still citing a removed class or function fails here."""
+    heads = package_heads()
+    modules = [mutperm] + [importlib.import_module(f"mutperm.{info.name}")
+                           for info in pkgutil.iter_modules(mutperm.__path__)]
+    names = [(module, name) for module in modules
+             for name in docstring_references(module)]
+    assert len(names) >= 12
+    missing = [f"{module.__name__}: {name}" for module, name in names
+               if not _resolves(name, vars(module), heads)]
     assert not missing
 
 

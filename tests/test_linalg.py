@@ -5,6 +5,8 @@ from mutperm.linalg import (Combination, Inconsistent, Matrix, SpanReducer,
                             clean_vec, kernel_basis, rref, solve, sparse_vec)
 from mutperm.terms import TermPoly
 
+from conftest import reduced_rows
+
 
 def dense_rank(rows, ncols):
     """Independent rank oracle: dense Gaussian elimination, first nonzero
@@ -188,7 +190,8 @@ def test_span_reducer_same_rows_for_int_and_fraction_input():
 
 def test_rref_matches_span_reducer_reduced_rows():
     """rref back-substitutes as it inserts; SpanReducer eliminates
-    forward and back-substitutes at the end.  Both give the one RREF."""
+    forward, and ``reduced_rows`` back-substitutes at the end.  Both give
+    the one RREF."""
     rng = random.Random(11)
 
     def entry(frac):
@@ -218,7 +221,7 @@ def test_rref_matches_span_reducer_reduced_rows():
         for row in m.rows:
             red.insert(row)
         want = [{k: Fraction(v, row[min(row)]) for k, v in row.items()}
-                for row in red.reduced_rows()]
+                for row in reduced_rows(red)]
         ech, rank = rref(m)
         assert ech.rows == want and rank == len(want) == red.dim
 

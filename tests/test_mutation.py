@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,12 +8,14 @@ import pytest
 
 from mutperm import mutation
 from mutperm.linalg import SpanReducer, sparse_vec
-from mutperm.mutation import (BSetElement, ComponentSpan, bracket_monomials,
+from mutperm.mutation import (BSetElement, bracket_monomials,
                               check_relations, enumerate_B, expand,
                               is_mutation_element, tree_shapes, verify_basis_B)
-from mutperm.perm import (Elt, bracket, commutator, gkey, normalize_word,
-                          x_multidegree)
+from mutperm.perm import (Elt, bracket, commutator, gkey, is_x,
+                          normalize_word, x_multidegree)
 from mutperm.terms import TermPoly, parse
+
+from conftest import reduced_rows
 
 
 def test_expand_degree3_left_bracket():
@@ -123,6 +126,97 @@ def test_is_mutation_element_negatives():
     assert not is_mutation_element(bracket(x1, x2) + p * q * x1)
 
 
+def _component(key, cache):
+    """The ComponentSpan of a multidegree key, memoised in ``cache``."""
+    span = cache.get(key)
+    if span is None:
+        span = cache[key] = ComponentSpan(dict(key), cache)
+    return span
+
+
+class ComponentSpan:
+    """The span S_m of the bracket expansions at multidegree m: the
+    reference that the closed form of ``is_mutation_element`` is compared
+    against.
+
+    A bracket monomial of degree >= 2 is <u, v> with u, v bracket
+    monomials whose nonzero multidegrees m1, m2 add up to m.  The bracket
+    is bilinear, so S_m is spanned by <a, b> over all ordered splits
+    (m1, m2), with a running over any basis of S_m1 and b over any basis
+    of S_m2; the component of a single letter x is spanned by x.  Each
+    sub-component comes from one component per multiplicity pattern:
+    S_m1 gets the basis of m1's canonical pattern (``mutation._canonical``)
+    renamed back.  Canonical components are memoised in ``_cache`` by key.
+    Every product is inserted when the span is built.
+
+    ``full_basis()`` is reduced (``reduced_rows``): no element is nonzero
+    at another's pivot monomial, so each has at most 1 + (monomials -
+    rank) terms and the brackets built on it stay cheap.
+    """
+
+    def __init__(self, multidegree, _cache=None):
+        self.multidegree = {n: c for n, c in multidegree.items() if c}
+        if sum(self.multidegree.values()) < 1:
+            raise ValueError("total degree must be >= 1")
+        self._cache = {} if _cache is None else _cache
+        self.reducer = SpanReducer()
+        self._columns = {}
+        for e in self._products():
+            self.reducer.insert(sparse_vec(e.terms, self._columns))
+        monos = list(self._columns)
+        self._basis = [Elt({monos[k]: c for k, c in row.items()})
+                       for row in reduced_rows(self.reducer)]
+
+    def _sub_basis(self, multidegree):
+        """The full basis of ``multidegree``'s pattern, renamed back."""
+        ckey, mapping = mutation._canonical(mutation._key(multidegree))
+        back = {v: k for k, v in mapping.items()}
+        return [mutation._rename(b.terms, back)
+                for b in _component(ckey, self._cache).full_basis()]
+
+    def _products(self):
+        md = self.multidegree
+        names = sorted(md, key=gkey)
+        if sum(md.values()) == 1:
+            yield Elt.gen(names[0])
+            return
+        for counts in itertools.product(*(range(md[n] + 1) for n in names)):
+            m1 = dict(zip(names, counts))
+            m2 = {n: md[n] - m1[n] for n in names}
+            if not any(counts) or not any(m2.values()):
+                continue
+            right = self._sub_basis(m2)
+            for a in self._sub_basis(m1):
+                for b in right:
+                    yield bracket(a, b)
+
+    def full_basis(self):
+        """A reduced basis of the component."""
+        return self._basis
+
+    def contains(self, e):
+        return self.reducer.contains(sparse_vec(e.terms, self._columns))
+
+
+def _in_component_spans(e, cache):
+    """Whether every part of e by x-multidegree has the mutation grading
+    and lies in its ComponentSpan; components are memoised in
+    ``cache``."""
+    parts = {}
+    for m, c in e.terms.items():
+        xs = sorted(g for g in m[0] + (m[1],) if is_x(g))
+        # parameter degree len(m[0]) + 1 - len(xs) must be len(xs) - 1
+        if len(m[0]) + 2 != 2 * len(xs):
+            return False
+        parts.setdefault(tuple(xs), {})[m] = c
+    for xs, terms in parts.items():
+        ckey, mapping = mutation._canonical(mutation._key(Counter(xs)))
+        if not _component(ckey, cache).contains(
+                mutation._rename(terms, mapping)):
+            return False
+    return True
+
+
 def test_component_span_early_exhaustion():
     span = ComponentSpan({"x1": 1, "x2": 1})
     assert span.contains(expand(parse("<x1,x2>")))
@@ -215,7 +309,7 @@ def _random_bracket(rng, letters):
 
 def test_closed_form_matches_component_spans():
     """is_mutation_element's closed form answers as ComponentSpan.contains
-    on every part (``mutation._in_component_spans``) for 2,400 seeded
+    on every part (``_in_component_spans``) for 2,400 seeded
     elements up to degree 6 over x1..x4: sums of scaled bracket monomials,
     alone or plus a graded monomial with an x, p or q tail, or plus a
     tail difference D_i(s, t) = (P_i + m - t, t) - (P_i + m - s, s).  A
@@ -248,7 +342,7 @@ def test_closed_form_matches_component_spans():
                 rest = letters[:tail] + letters[tail + 1:]
                 word = rest + params + [letters[tail]]
                 e = e + Elt.monomial(normalize_word(word), sign)
-        want = mutation._in_component_spans(e, cache)
+        want = _in_component_spans(e, cache)
         assert is_mutation_element(e) == want, e
         seen[kind, want] += 1
     assert seen["member", True] > 500
@@ -316,6 +410,30 @@ def _brackets_stay_in_B(n_vars, degree):
                     if not red.contains(sparse_vec(prod, columns)):
                         return False
     return True
+
+
+@pytest.mark.parametrize("n_vars,degree,inserts", [
+    (3, 3, (70, 62)), (4, 4, (500, 364)), (5, 4, (860, 724)),
+    (5, 5, (3026, 2042))])
+def test_verify_basis_B_insert_count(count_inserts, n_vars, degree, inserts):
+    """One insert per B element into its multidegree's reducer, plus one
+    per bracket <a, b> of B elements over the ordered splits of each
+    canonical pattern (x1 alone at degree 1); the accepted ones are the
+    ranks, sum |B_m| + sum dim S_c."""
+    rep = verify_basis_B(n_vars, degree)
+    assert rep["independent"] and rep["spans"], (n_vars, degree)
+    assert (len(count_inserts), sum(count_inserts)) == inserts
+
+
+def test_verify_basis_B_does_not_use_closed_form(monkeypatch):
+    """The certificate is independent of is_mutation_element."""
+    def closed_form(e, _cache=None):
+        raise AssertionError("verify_basis_B used the closed form")
+
+    monkeypatch.setattr(mutation, "is_mutation_element", closed_form)
+    assert verify_basis_B(4, 4) == {"independent": True, "spans": True,
+                                    "closed_under_bracket": True,
+                                    "multilinear_dim": 13}
 
 
 def test_verify_basis_B_closure_agrees_with_brute_force():
