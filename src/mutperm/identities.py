@@ -374,18 +374,20 @@ def new_identities(known, n):
     m_λ(K).  Its generators are consequences, which lie in K, so dim R_λ
     is at most the multiplicity of λ in the consequences, itself at most
     m_λ(K); a sum equal to dim K proves that they span K, and then nothing
-    more is built.  Otherwise the direct consequence span R
-    (``_consequences``) is built for the residues, and each round raises
-    RuntimeError unless the sum equals dim R.  ``new_dim`` counts a greedy
-    set of new identities whose orbits span K with the consequences.  In
-    each round every kernel basis vector v is scored by its gain, the
-    dimension its orbit adds to R, read off per irreducible as
+    more is built.  ``new_dim`` counts a greedy set of new identities
+    whose orbits span K with the consequences R.  In each round every
+    kernel basis vector v is scored by its gain, the dimension its orbit
+    adds to R, read off per irreducible as
     sum_λ d_λ (rank [R_λ; rho_λ(v)] - rank R_λ); the first vector of
-    largest gain wins, its residue modulo R, divided by the positive gcd
-    of its integer coefficients (so primitive, with its sign kept), joins
-    ``representatives`` and its orbit joins R.  A greedy set need not be
-    a smallest one, so ``new_dim`` bounds the number of new generators
-    needed from above.
+    largest gain wins and its orbit joins R, until R reaches dim K.  The
+    winner's residue r modulo the orbits of the representatives chosen
+    before it, divided by the positive gcd of its integer coefficients
+    (so primitive, with its sign kept), joins ``representatives``.  Any
+    such r serves: those orbits span an S_n-closed R' inside R, and
+    v - r lies in R', so S_n r + R = S_n v + R, and r is not 0 because
+    v is not in R.  R is held only as its per-λ spans R_λ.  A greedy set
+    need not be a smallest one, so ``new_dim`` bounds the number of new
+    generators needed from above.
     Raises ValueError before anything is built for a degree out of range
     and for a known identity that ``_usable`` refuses or (with a witness)
     that does not vanish in mutations of perm algebras.
@@ -405,42 +407,39 @@ def new_identities(known, n):
     representatives = []
     if cdim < kdim:
         kb = kernel_basis(expansion[0].transpose())
-        red, space = _consequences(items, n)
+        space = _DegreeSpace(n)
         orbit = [space.action(sigma)
                  for sigma in itertools.permutations(range(n))]
-        # R = red is closed under variable permutations, and stays so after
-        # each orbit insertion.  R and every candidate lie in the kernel,
-        # so m_λ(K) caps each R_λ exactly, and a candidate whose gain
+        # the orbits of the representatives so far, to reduce the next one
+        chosen = SpanReducer()
+        # The per-λ spans hold R, which stays closed under variable
+        # permutations.  R and every candidate lie in the kernel, so
+        # m_λ(K) caps each R_λ exactly, and a candidate whose gain
         # reaches kdim ends the round.  The gain dim S_n v - dim(S_n v ∩ R)
         # cannot grow with R, so a candidate's last gain bounds its gain
         # now, and one whose bound cannot beat the best gain is skipped.
         candidates = [_to_int_row(v) for v in kb]
         bounds = [kdim] * len(kb)
-        while True:
-            if dimension(n, spans) != red.dim:
-                raise RuntimeError(f"per-irreducible dimension "
-                                   f"{dimension(n, spans)} differs from "
-                                   f"the span's {red.dim}")
-            if red.dim == kdim:
-                break
-            best, best_dim = None, red.dim
+        dim = cdim
+        while dim < kdim:
+            best, best_dim = None, dim
             for i, v in enumerate(candidates):
-                if red.dim + bounds[i] <= best_dim:
+                if dim + bounds[i] <= best_dim:
                     continue
                 trial = grow(n, [v], caps, spans)
-                dim = dimension(n, trial)
-                bounds[i] = dim - red.dim
-                if dim > best_dim:
-                    best, best_dim, best_spans = i, dim, trial
-                    if dim == kdim:
+                trial_dim = dimension(n, trial)
+                bounds[i] = trial_dim - dim
+                if trial_dim > best_dim:
+                    best, best_dim, best_spans = i, trial_dim, trial
+                    if trial_dim == kdim:
                         break
-            residue = red.residue(kb[best])
+            residue = chosen.residue(kb[best])
             content = gcd(*residue.values())
             residue = {k: c // content for k, c in residue.items()}
             representatives.append(vec_to_poly(residue, space.basis))
             for act in orbit:
-                red.insert(act(residue))
-            spans = best_spans
+                chosen.insert(act(residue))
+            spans, dim = best_spans, best_dim
     return {"kernel_dim": kdim, "consequence_dim": cdim,
             "new_dim": len(representatives),
             "representatives": representatives}

@@ -8,7 +8,7 @@ ordered x1 < x2 < ... < p < q.
 
 Monomials are plain tuples ``(prefix_tuple, tail)`` so they can be dict
 keys; elements (Elt) are finite rational linear combinations of monomials.
-Coefficients are ``int`` or ``Fraction``: integral ones are kept as
+Coefficients are ``int`` or exact fractions: integral ones are kept as
 ``int`` (see ``Elt``), so integral work, such as every bracket of
 generators and every element of the basis B, runs in ``int`` arithmetic.
 """

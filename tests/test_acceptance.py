@@ -14,7 +14,7 @@ BUDGETS = {
     "vanishing-identities": 0.5,
     "degree3-identities": 1,
     "counterexample-algebra": 1,
-    "degree4-new-identities": 0.5,
+    "degree4-new-identities": 0.25,
     "degree5-closure": 1.2,
     "cohn-certificate": 0.5,
     "lie-admissibility": 0.2,

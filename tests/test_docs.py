@@ -55,17 +55,34 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(argv)
 
 
+def defined_names(module):
+    """The names that ``module``'s own source binds at its top level, by
+    def, class or assignment; the names it only imports are not among
+    them."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return names
+
+
 def package_heads():
     """The names a README dotted name may start with: ``mutperm``, its
-    modules, and the classes, functions and constants they hold."""
+    modules, and the classes, functions and constants they define, each
+    through the module that defines it."""
     heads = {"mutperm": mutperm}
     for info in pkgutil.iter_modules(mutperm.__path__):
         module = importlib.import_module(f"mutperm.{info.name}")
         heads[info.name] = module
-        for attr, value in vars(module).items():
-            if not (attr.startswith("__")
-                    or isinstance(value, types.ModuleType)):
-                heads.setdefault(attr, value)
+        for attr in defined_names(module):
+            if not attr.startswith("__"):
+                heads[attr] = getattr(module, attr)
     return heads
 
 

@@ -275,24 +275,26 @@ def test_consequence_span_insert_count(count_inserts):
 
 
 def test_scans_keep_the_consequence_reducer(count_inserts):
-    """new_identities and tideal_membership query the reducer that the
-    consequence span was closed in, and new_identities eliminates the
-    expansion matrix once for its kernel.  Re-inserting the consequence
-    rows into a new reducer, and ranking the expansion matrix apart from
-    its kernel, made 1,221 inserts (617 accepted) and 7,952 (3,412) here;
-    before the closure skipped the braid case, 1,009 (512) and 6,302
-    (1,762), and before it skipped S_{n-1} on the lifted rows and
-    ``rref`` eliminated on its own, 1,097 (580) and 6,149 (1,762).  The
-    scan scores candidates per irreducible: of the 961 inserts (554
-    accepted), 683 (442) are per-irreducible rows; ``rref``, which ranks
+    """tideal_membership queries the reducer that the consequence span
+    was closed in, and new_identities eliminates the expansion matrix
+    once for its kernel and builds no direct consequence span.
+    Re-inserting the consequence rows into a new reducer, and ranking the
+    expansion matrix apart from its kernel, made 1,221 inserts (617
+    accepted) and 7,952 (3,412) here; before the closure skipped the
+    braid case, 1,009 (512) and 6,302 (1,762), and before it skipped
+    S_{n-1} on the lifted rows and ``rref`` eliminated on its own, 1,097
+    (580) and 6,149 (1,762).  The scan scores candidates per irreducible:
+    of the 731 inserts (487 accepted), 683 (442) are per-irreducible rows
+    and 48 (45) the two representatives' orbits; ``rref``, which ranks
     the expansion matrix for the kernel multiplicities and its transpose
-    for the kernel, makes no insert.  Orbit trials in the span itself
-    made 895 (512)."""
+    for the kernel, makes no insert.  Reducing the representatives modulo
+    the closed direct consequence span made 961 (554), and orbit trials
+    in that span 895 (512)."""
     calls = count_inserts
     T = TEMPLATES
     rep = new_identities([T["f"], T["wa"], T["hbar"], T["ibar"]], 4)
     assert rep["new_dim"] == 2
-    assert (len(calls), sum(calls)) == (961, 554)
+    assert (len(calls), sum(calls)) == (731, 487)
     calls.clear()
     a, b, c = (TermPoly.var(x) for x in "abc")
     bicommutativity = [mnode(mnode(a, b), c) - mnode(mnode(a, c), b),
@@ -321,38 +323,30 @@ def test_new_identities_degree3():
     assert rep["representatives"] == []
 
 
-def test_new_identities_degree4():
-    T = TEMPLATES
-    rep = new_identities([T["f"], T["wa"], T["hbar"], T["ibar"]], 4)
-    assert rep["kernel_dim"] == 107
-    assert rep["consequence_dim"] == 92
-    assert rep["new_dim"] == 2
-    # the two representatives really close the kernel
-    rep2 = new_identities([T["f"], T["wa"], T["hbar"], T["ibar"]]
-                          + rep["representatives"], 4)
-    assert rep2["new_dim"] == 0 and rep2["consequence_dim"] == 107
-    # each representative expands to zero, i.e. is an identity
-    for poly in rep["representatives"]:
-        assert not expand(poly)
+def renaming_maps(n):
+    """The degree-n magmatic basis, its index, and the column maps of
+    all n! renamings of x1..xn."""
+    basis = magmatic_basis(n)
+    index = {t: i for i, t in enumerate(basis)}
+    names = [f"x{i}" for i in range(1, n + 1)]
+    return basis, index, [renaming_colmap(basis, index, dict(zip(names, pp)))
+                          for pp in itertools.permutations(names)]
 
 
 def trial_loop_new_identities(known, n):
     """Oracle for new_identities' greedy choice: in each round, copy the
-    span, insert the whole orbit of each candidate's residue into the
-    copy and read off the dimension gain; the first largest gain wins,
-    and its residue divided by the gcd of its coefficients is reported.
-    Returns the report and, per round, the span before it (its pivot
-    rows) and every candidate's gain."""
-    basis = magmatic_basis(n)
-    index = {t: i for i, t in enumerate(basis)}
-    names = [f"x{i}" for i in range(1, n + 1)]
-    maps = [renaming_colmap(basis, index, dict(zip(names, pp)))
-            for pp in itertools.permutations(names)]
+    span R of the consequences and the winners' orbits, insert the whole
+    orbit of each candidate's residue into the copy and read off the
+    dimension gain; the first largest gain wins, its orbit joins R, and
+    its residue modulo the earlier winners' orbits alone, divided by the
+    gcd of its coefficients, is reported.  Returns the report and, per
+    round, R before it (its pivot rows) and every candidate's gain."""
+    basis, index, maps = renaming_maps(n)
     mat = expansion_matrix(n)
     kb = kernel_basis(mat.transpose())
     kdim = len(kb)
     cons = consequence_span(known, n)
-    red = SpanReducer()
+    red, chosen = SpanReducer(), SpanReducer()
     for v in cons:
         red.insert(v)
 
@@ -373,13 +367,16 @@ def trial_loop_new_identities(known, n):
                 trial.insert(ov)
             gains.append(trial.dim - red.dim)
             if best is None or gains[-1] > best[0]:
-                best = (gains[-1], residue)
+                best = (gains[-1], residue, v)
         rounds.append((dict(red.pivot_rows), gains))
-        content = math.gcd(*best[1].values())
-        reps.append(vec_to_poly({k: Fraction(c, content)
-                                 for k, c in best[1].items()}, basis))
         for ov in orbit(best[1]):
             red.insert(ov)
+        rep = chosen.residue(best[2])
+        content = math.gcd(*rep.values())
+        reps.append(vec_to_poly({k: Fraction(c, content)
+                                 for k, c in rep.items()}, basis))
+        for ov in orbit(rep):
+            chosen.insert(ov)
     report = {"kernel_dim": kdim, "consequence_dim": len(cons),
               "new_dim": len(reps), "representatives": reps}
     return report, rounds, kb
@@ -417,13 +414,18 @@ def assert_same_report(got, want):
 
 
 KNOWN4 = ("f", "wa", "hbar", "ibar")
+
+
+def case_ids(cases):
+    return [f"{n}-{'+'.join(k) or 'none'}" for k, n in cases]
+
+
 GAIN_CASES = [(("f", "wa"), 3), ((), 3), (("f",), 3), (KNOWN4, 4),
               (("f", "wa"), 4)]
 
 
 @pytest.mark.parametrize("names,n", GAIN_CASES,
-                         ids=[f"{n}-{'+'.join(k) or 'none'}"
-                              for k, n in GAIN_CASES])
+                         ids=case_ids(GAIN_CASES))
 def test_new_identities_against_trial_loop_with_gains(names, n):
     known = [TEMPLATES[name] for name in names]
     want, rounds, kb = trial_loop_new_identities(known, n)
@@ -450,6 +452,26 @@ def test_new_identities_against_trial_loop_seeded(seed):
             assert orbit_gains(pivot_rows, kb, n) == gains
 
 
+VALID_CASES = GAIN_CASES + [(("f",), 4), (("wa",), 4)]
+
+
+@pytest.mark.parametrize("names,n", VALID_CASES,
+                         ids=case_ids(VALID_CASES))
+def test_new_identities_representatives_are_valid(names, n):
+    """Each representative is a primitive identity, and with the known
+    identities the representatives close the kernel."""
+    known = [TEMPLATES[name] for name in names]
+    rep = new_identities(known, n)
+    for poly in rep["representatives"]:
+        assert not expand(poly)
+        coeffs = list(poly.terms.values())
+        assert all(c.denominator == 1 for c in coeffs)
+        assert math.gcd(*map(int, coeffs)) == 1
+    closed = new_identities(known + rep["representatives"], n)
+    assert closed["new_dim"] == 0
+    assert closed["consequence_dim"] == rep["kernel_dim"]
+
+
 @pytest.mark.parametrize("names", [(), KNOWN4])
 def test_new_identities_representatives_are_primitive(names):
     rep = new_identities([TEMPLATES[name] for name in names], 4)
@@ -466,21 +488,79 @@ def dims(report):
 
 
 def test_closed_scans_never_build_the_direct_span(monkeypatch):
-    """When the per-irreducible dimension of the consequences reaches the
-    kernel's, the scan is decided without the direct consequence span."""
+    """The scan never builds the direct consequence span: not when the
+    per-irreducible dimension of the consequences reaches the kernel's,
+    and not when a gap remains."""
     def refuse(*args):
         raise AssertionError("the direct consequence span was built")
 
     monkeypatch.setattr(identities, "_consequences", refuse)
-    six = [TEMPLATES[name] for name in KNOWN4 + ("conj4a", "conj4b")]
+    T = TEMPLATES
+    six = [T[name] for name in KNOWN4 + ("conj4a", "conj4b")]
     assert dims(new_identities(six, 4)) == (107, 107, 0, [])
-    assert dims(new_identities([TEMPLATES["f"], TEMPLATES["wa"]], 3)) == \
-        (5, 5, 0, [])
+    assert dims(new_identities([T["f"], T["wa"]], 3)) == (5, 5, 0, [])
+    for known, n, want in (([T[name] for name in KNOWN4], 4, (107, 92, 2)),
+                           ([], 3, (5, 0, 2)), ([T["f"]], 4, (107, 20, 5))):
+        assert dims(new_identities(known, n))[:3] == want
 
 
-def test_new_identities_checks_the_per_irreducible_dimension(monkeypatch):
+def per_round_dims(known, n):
+    """The report of new_identities(known, n) and the per-irreducible
+    dimension of R before each round and after the last: the consequences
+    first, then each span the scan scores its candidates against, then
+    dim K, where the loop stops."""
+    rounds = []
+    grow_spans = identities.grow
+
+    def recording(n, vectors, caps, spans=None):
+        out = grow_spans(n, vectors, caps, spans)
+        if spans is None:
+            rounds.append(out)
+        elif spans is not rounds[-1]:
+            rounds.append(spans)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "grow", recording)
+        report = new_identities(known, n)
+    dims = [dimension(n, spans) for spans in rounds]
+    if report["new_dim"]:
+        dims.append(report["kernel_dim"])
+    return report, dims
+
+
+def direct_dims(known, n, representatives):
+    """Oracle: the rank of consequence_span(known, n) plus the orbits of
+    the first k representatives, for k = 0, 1, ..., their number."""
+    _, index, maps = renaming_maps(n)
+    red = SpanReducer()
+    for v in consequence_span(known, n):
+        red.insert(v)
+    out = [red.dim]
+    for poly in representatives:
+        vec = poly_to_vec(poly, index)
+        for m in maps:
+            red.insert({m[i]: c for i, c in vec.items()})
+        out.append(red.dim)
+    return out
+
+
+@pytest.mark.parametrize("names,n", GAIN_CASES,
+                         ids=case_ids(GAIN_CASES))
+def test_per_irreducible_dimension_matches_the_direct_span(names, n):
+    """Before each round and after the last, the per-irreducible dimension
+    of R equals the rank of the direct consequence span plus the orbits
+    of the representatives so far."""
+    known = [TEMPLATES[name] for name in names]
+    report, dims = per_round_dims(known, n)
+    assert dims == direct_dims(known, n, report["representatives"])
+
+
+def test_dropped_generator_breaks_the_per_irreducible_dimension(
+        monkeypatch):
     """Per-irreducible spans that miss a module generator (here the first,
-    hbar) disagree with the direct span R, and the scan raises."""
+    hbar) read 91 where the direct span has 92, and the oracle of
+    test_per_irreducible_dimension_matches_the_direct_span sees it."""
     grow_spans = identities.grow
 
     def drop_first_generator(n, vectors, caps, spans=None):
@@ -489,9 +569,11 @@ def test_new_identities_checks_the_per_irreducible_dimension(monkeypatch):
         return grow_spans(n, vectors, caps, spans)
 
     monkeypatch.setattr(identities, "grow", drop_first_generator)
-    with pytest.raises(RuntimeError, match="dimension 91 differs from the "
-                                           "span's 92"):
-        new_identities([TEMPLATES[name] for name in KNOWN4], 4)
+    known = [TEMPLATES[name] for name in KNOWN4]
+    report, dims = per_round_dims(known, 4)
+    want = direct_dims(known, 4, report["representatives"])
+    assert report["consequence_dim"] == dims[0] == 91
+    assert want[0] == 92
 
 
 def test_new_identities_rejects_non_identity():
