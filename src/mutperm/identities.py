@@ -256,25 +256,46 @@ def _close(red, transpositions, lifted):
     s_k(r''), and s_k(r'') was inserted (or skipped) before s_{k+1}(r''),
     so it lies in the span of rows accepted before r'.
 
-    When ``lifted``, s_1, ..., s_{n-2} are skipped for the rows already
-    in ``red``.  Those rows span the lifts of a degree-(n-1) span W closed
-    under S_{n-1}, and s_j for j <= n-2 fixes x_n: renaming a lift of g
-    by a sigma that fixes x_n gives a lift of sigma(g) (the slot
-    x_i -> (x_i, x_n) moving to x_sigma(i)), and sigma(g) lies in W.  So
-    these images lie in the span of the rows already in ``red``, and the
-    induction above holds as before.  A skipped insert would be rejected
-    without changing any state, so skipping it accepts exactly the same
-    rows in the same order.
+    When ``lifted``, each row tries one transposition only.  Write t_j
+    for ``transpositions[j]``, which swaps x_{j+1} and x_{j+2}.  A row
+    already in ``red`` tries t_{n-2} (``last``), and a row accepted from
+    t_k tries t_{k-1} (nothing for k = 0).  This walks coset chains.  The
+    rows already in ``red`` span W0, the lifts of a degree-(n-1) span W
+    closed under S_{n-1}.  W0 is closed under t_0, ..., t_{n-3}, which fix
+    x_n: renaming a lift of g by a sigma that fixes x_n gives a lift of
+    sigma(g) (the slot x_i -> (x_i, x_n) moving to x_sigma(i)), and
+    sigma(g) lies in W.  Let c_i = t_i t_{i+1} ... t_{n-2}, with c_{n-1}
+    the identity; c_i sends x_n to x_{i+1}, so S_n is the disjoint union
+    of the cosets c_i S_{n-1}.  Let U_k = c_k W0 + ... + c_{n-1} W0.  The
+    relations t_{i-1} c_i = c_{i-1}, t_i c_i = c_{i+1}, t_j c_i = c_i t_j
+    (j <= i - 2), t_{i+1} c_i = c_i t_i and t_j c_i = c_i t_{j-1}
+    (j >= i + 2) show that U_k is closed under every t_j with j != k - 1,
+    and that U_k + t_{k-1} U_k = U_{k-1}.
+
+    Call the rows already in ``red`` level n - 1 and a row accepted from
+    t_k level k.  Level-k rows come only from level-(k+1) rows, so FIFO
+    order pops the levels n - 1, n - 2, ..., 0 one after another, and
+    when the first level-k row is popped every row of level >= k is in
+    ``red``.  By induction on the level, the rows of level >= k span U_k:
+    the level-k rows are the t_k images of the level-(k+1) rows, reduced
+    modulo rows of level >= k; the rows of level > k + 1 span U_{k+2},
+    which t_k maps to itself; so the rows of level >= k span U_{k+1} +
+    t_k U_{k+1} = U_k.  A level-k row r lies in U_k, so every image t_j(r)
+    with j != k - 1 is in the span when r is popped, and inserting it
+    would be rejected without changing any state.  So skipping these
+    inserts accepts exactly the same rows in the same order, and U_0,
+    closed under every t_j, is the closure.
     """
     last = len(transpositions) - 1
     queue = deque((vec, None, None) for vec in red.pivot_rows.values())
     while queue:
         vec, via, parent = queue.popleft()
         for j, act in enumerate(transpositions):
-            if via is None:
-                if lifted and j < last:
+            if lifted:
+                if j != (last if via is None else via - 1):
                     continue
-            elif j == via or j <= via - 2 or j == via + 1 == parent:
+            elif via is not None and (j == via or j <= via - 2
+                                      or j == via + 1 == parent):
                 continue
             if red.insert(act(vec)):
                 # the accepted row is the newest pivot row
