@@ -204,29 +204,31 @@ class _DegreeSpace:
 
 
 def _lift_maps(low, space, d):
-    """Column maps, from the degree-(d-1) basis ``low`` into ``space``, of
-    the one-step T-ideal liftings of g: with y = x_d, (g, y) and (y, g),
-    then g at x_i -> (x_i, y) and at x_i -> (y, x_i) for i < d.  Each
-    sends basis terms to basis terms injectively, so lifting the sum of
-    the basis terms with coefficients 1, 2, ... gives the map."""
+    """(stop level, column map) of each one-step T-ideal lifting of g,
+    from the degree-(d-1) basis ``low`` into ``space``: with y = x_d,
+    (g, y) and (y, g) at stop level 0, then g at x_i -> (x_i, y) and at
+    x_i -> (y, x_i) at stop level i, for i < d (see ``_close``).  Each
+    map sends basis terms to basis terms injectively, so lifting the sum
+    of the basis terms with coefficients 1, 2, ... gives the map."""
     y = TermPoly.var(f"x{d}")
     numbered = TermPoly({t: k for k, t in enumerate(low, 1)})
-    lifted = [bnode(numbered, y), bnode(y, numbered)]
+    lifted = [(0, bnode(numbered, y)), (0, bnode(y, numbered))]
     for i in range(1, d):
         xi = TermPoly.var(f"x{i}")
         for sub in (bnode(xi, y), bnode(y, xi)):
-            lifted.append(substitute(numbered, {f"x{i}": sub}))
-    return [[space.index[t] for t in sorted(p.terms, key=p.terms.get)]
-            for p in lifted]
+            lifted.append((i, substitute(numbered, {f"x{i}": sub})))
+    return [(stop, [space.index[t] for t in sorted(p.terms, key=p.terms.get)])
+            for stop, p in lifted]
 
 
 def _close(red, transpositions, lifted):
     """Grow ``red`` to the smallest span that contains it and is closed
     under S_n.  ``transpositions`` must be the adjacent transpositions
     s_1, ..., s_{n-1} of S_n, in this order, as callables on sparse
-    vectors (``_DegreeSpace.transpositions``).  ``lifted`` says that
-    ``red`` holds just the ``_lift_maps`` images of a degree-(n-1) span
-    closed under S_{n-1}.
+    vectors (``_DegreeSpace.transpositions``).  ``lifted`` is None, or,
+    when ``red`` holds just the ``_lift_maps`` images of a degree-(n-1)
+    span closed under S_{n-1}, the stop level of the map that each row of
+    ``red`` was accepted from, in order.
 
     A FIFO worklist applies the transpositions to every row, the rows
     already in ``red`` first; once the queue is empty the span is closed.
@@ -285,14 +287,39 @@ def _close(red, transpositions, lifted):
     would be rejected without changing any state.  So skipping these
     inserts accepts exactly the same rows in the same order, and U_0,
     closed under every t_j, is the closure.
+
+    A chain also ends at its lift's own variable: a row of level k tries
+    nothing when the row of ``red`` it descends from has stop level k.
+    Let L_i and R_i put (x_i, x_n) and (x_n, x_i) into the slot x_i (stop
+    level i; (g, x_n) and (x_n, g) have stop level 0).  c_k fixes x_1,
+    ..., x_k and sends x_n to x_{k+1}, so t_{k-1} c_k L_k = c_k R_k and
+    t_{k-1} c_k R_k = c_k L_k.  Call row m of ``red`` w_m; it and the
+    rows descended from it, at most one per level, form chain m, and FIFO
+    order keeps the chains in order at every level.  Let W0_m be the span
+    of w_1, ..., w_m and V_{k,m} = U_{k+1} + c_k W0_m (U_n = 0).  Without
+    the stop, by induction on n - k and m, the rows of level > k and the
+    level-k rows of chains 1..m span V_{k,m}: chain m's level-(k+1) row,
+    if any, is a nonzero multiple of c_{k+1} w_m modulo V_{k+1,m-1}, so
+    its t_k image is one of c_k w_m modulo t_k V_{k+1,m-1}, inside
+    V_{k,m-1}; if it has none, c_{k+1} w_m lies in V_{k+1,m-1}, so c_k
+    w_m lies in V_{k,m-1}.  Now let w_m be accepted from a = L_k(g) or
+    R_k(g), so it is a multiple of a modulo W0_{m-1}.  When chain m's
+    level-k row r is popped the span is V_{k-1,m-1}, which holds t_{k-1}
+    V_{k,m-1} and c_{k-1} W0_{m-1}; so modulo the span t_{k-1}(r) is a
+    multiple of c_{k-1} a = t_{k-1} c_k a, which lies in c_k W0, inside
+    U_k, as L_k(g) and R_k(g) lie in W0.  So the insert would be
+    rejected; by induction on the order in which rows are popped, the
+    stop skips only rejected inserts.
     """
     last = len(transpositions) - 1
-    queue = deque((vec, None, None) for vec in red.pivot_rows.values())
+    stops = itertools.repeat(None) if lifted is None else lifted
+    queue = deque((vec, None, None, stop)
+                  for vec, stop in zip(red.pivot_rows.values(), stops))
     while queue:
-        vec, via, parent = queue.popleft()
+        vec, via, parent, stop = queue.popleft()
         for j, act in enumerate(transpositions):
-            if lifted:
-                if j != (last if via is None else via - 1):
+            if lifted is not None:
+                if j != (last if via is None else via - 1) or j < stop:
                     continue
             elif via is not None and (j == via or j <= via - 2
                                       or j == via + 1 == parent):
@@ -300,7 +327,7 @@ def _close(red, transpositions, lifted):
             if red.insert(act(vec)):
                 # the accepted row is the newest pivot row
                 queue.append((next(reversed(red.pivot_rows.values())), j,
-                              via))
+                              via, stop))
 
 
 def _usable(identities, n, kind="b"):
@@ -332,12 +359,12 @@ def _consequences(items, n):
     rows = []
     for _, space, lifts, vecs in _degrees(items, n):
         reducer = SpanReducer()
-        for vec in itertools.chain(
-                vecs,
-                ({m[i]: c for i, c in row.items()}
-                 for row in rows for m in lifts)):
+        for vec in vecs:
             reducer.insert(vec)
-        _close(reducer, space.transpositions, bool(lifts) and not vecs)
+        # the stop level of each lift that the reducer accepts
+        stops = [stop for row in rows for stop, m in lifts
+                 if reducer.insert({m[i]: c for i, c in row.items()})]
+        _close(reducer, space.transpositions, None if vecs else stops)
         rows = [reducer.pivot_rows[c] for c in sorted(reducer.pivot_rows)]
     return reducer, space
 
@@ -380,7 +407,7 @@ def _per_lambda(items, n, caps):
     gens = []
     for _, _, lifts, vecs in _degrees(items, n):
         gens = [_to_int_row(v) for v in vecs] + [
-            {m[i]: c for i, c in g.items()} for g in gens for m in lifts]
+            {m[i]: c for i, c in g.items()} for g in gens for _, m in lifts]
     return grow(n, gens, caps)
 
 

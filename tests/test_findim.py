@@ -322,28 +322,6 @@ def test_criterion_samples_and_forward_direction():
             assert ok
 
 
-def test_criterion_failure_yields_non_jacobi_mutation():
-    # a deterministic search: random 3-dim tables until one fails the
-    # criterion, then a random (p, q) whose mutation breaks Jacobi
-    rng = random.Random(4)
-    while True:
-        a = FiniteAlgebra(3)
-        for i, j, k in itertools.product(range(3), repeat=3):
-            a.table[i][j][k] = Fraction(rng.randint(-1, 1))
-        ok, _ = lie_admissible_criterion(a)
-        if not ok:
-            break
-    found = None
-    for _ in range(200):
-        p = random_vector(rng, 3)
-        q = random_vector(rng, 3)
-        ok, witness = jacobi_test(mutation_algebra(a, p, q))
-        if not ok:
-            found = (p, q, witness)
-            break
-    assert found is not None
-
-
 # Reference implementations: evaluate every basis tuple on its own, and
 # the commutator's Jacobi identity by a triple loop.
 

@@ -127,9 +127,33 @@ def test_lift_maps_match_substitution():
         for v in vecs:
             want = [poly_to_vec(p, space.index)
                     for p in _lift_once(vec_to_poly(v, low), d)]
-            got = [{m[i]: c for i, c in v.items()} for m in maps]
+            got = [{m[i]: c for i, c in v.items()} for _, m in maps]
             assert [list(w.items()) for w in want] == \
                 [list(g.items()) for g in got]
+
+
+def test_lift_variable_ends_the_coset_chain():
+    """The lemma behind the closure's lift-variable stop, on column maps:
+    with c_k = t_k ... t_{d-2} and L_k, R_k the lifts that put (x_k, x_d)
+    and (x_d, x_k) into the slot x_k, t_{k-1} c_k L_k = c_k R_k and
+    t_{k-1} c_k R_k = c_k L_k for 1 <= k <= d - 1; and the stop levels of
+    the lifts (g, x_d), (x_d, g), L_1, R_1, ... are 0, 0, 1, 1, ..."""
+    for d in (4, 5):
+        low = magmatic_basis(d - 1)
+        space = _DegreeSpace(d)
+        t = space.transpositions
+        maps = _lift_maps(low, space, d)
+        assert [stop for stop, _ in maps] == [i // 2 for i in range(2 * d)]
+        # an injective map is fixed by the image of this vector
+        every = {i: i + 1 for i in range(len(low))}
+        for k in range(1, d):
+            def chain(m):
+                v = {m[i]: c for i, c in every.items()}
+                for j in reversed(range(k, d - 1)):
+                    v = t[j](v)
+                return v
+            lk, rk = chain(maps[2 * k][1]), chain(maps[2 * k + 1][1])
+            assert t[k - 1](lk) == rk and t[k - 1](rk) == lk
 
 
 def test_identity_kernel_dims():
@@ -267,50 +291,53 @@ def test_consequence_span_matches_fixed_point_closure(names, n):
 def test_consequence_span_insert_count(count_inserts):
     """The closure skips the transposition images that the Coxeter and
     braid relations place in the span already, and on lifted spans lets
-    each row try only the next transposition of its coset chain.  Measured
-    here: a closure that applies every transposition to every row makes
-    4,701 inserts; one that skips the Coxeter cases 3,282, and the braid
-    case too 2,916; one that also skips S_{n-1} on the lifted rows 1,686,
-    of which 216 are the images under s_j, j >= k + 2, of rows accepted
-    from s_k, all rejected; the coset chains skip those and make 1,470."""
+    each row try only the next transposition of its coset chain, until
+    the chain reaches its lift's own variable.  Measured here: a closure
+    that applies every transposition to every row makes 4,701 inserts;
+    one that skips the Coxeter cases 3,282, and the braid case too 2,916;
+    one that also skips S_{n-1} on the lifted rows 1,686, of which 216
+    are the images under s_j, j >= k + 2, of rows accepted from s_k, all
+    rejected; the coset chains skip those and make 1,470, of which 357
+    are rejected in the lifted closure; ending each chain at its lift's
+    variable skips 269 of those and makes 1,201."""
     rows = consequence_span([TEMPLATES["f"], TEMPLATES["conj4b"]], 5)
     assert len(rows) == 1039
-    assert len(count_inserts) == 1470
+    assert len(count_inserts) == 1201
 
 
-def coxeter_braid_close(red, transpositions, lifted, omitted):
-    """``identities._close`` with only the Coxeter, braid and lifted-row
-    skips; appends to ``omitted`` the result of every insert that the
-    coset-chain rule for lifted spans does not make."""
+def coset_chain_close(red, transpositions, stops, omitted):
+    """``identities._close`` on a lifted span without the lift-variable
+    stop, every row trying the next transposition of its coset chain;
+    appends to ``omitted`` the result of every insert that the stop does
+    not make."""
     last = len(transpositions) - 1
-    queue = deque((vec, None, None) for vec in red.pivot_rows.values())
+    queue = deque((vec, None, stop)
+                  for vec, stop in zip(red.pivot_rows.values(), stops))
     while queue:
-        vec, via, parent = queue.popleft()
-        for j, act in enumerate(transpositions):
-            if via is None:
-                if lifted and j < last:
-                    continue
-            elif j == via or j <= via - 2 or j == via + 1 == parent:
-                continue
-            accepted = red.insert(act(vec))
-            if lifted and via is not None and j != via - 1:
-                omitted.append(accepted)
-            if accepted:
-                queue.append((next(reversed(red.pivot_rows.values())), j,
-                              via))
+        vec, via, stop = queue.popleft()
+        j = last if via is None else via - 1
+        if j < 0:
+            continue
+        accepted = red.insert(transpositions[j](vec))
+        if j < stop:
+            omitted.append(accepted)
+        if accepted:
+            queue.append((next(reversed(red.pivot_rows.values())), j, stop))
 
 
 @pytest.mark.parametrize("names,n", [
     (("f", "conj4b"), 5), (("conj4b",), 5), (("f",), 5),
-    (("hbar", "conj4a"), 5)])
+    (("hbar", "conj4a"), 5), (("wa",), 5), (("ibar",), 5)])
 def test_lifted_closure_skips_only_rejected_images(monkeypatch, names, n):
     known = [TEMPLATES[name] for name in names]
     want = consequence_span(known, n)
     omitted = []
+    close = identities._close
     monkeypatch.setattr(
         identities, "_close",
-        lambda red, transpositions, lifted: coxeter_braid_close(
-            red, transpositions, lifted, omitted))
+        lambda red, transpositions, lifted: (
+            close(red, transpositions, lifted) if lifted is None
+            else coset_chain_close(red, transpositions, lifted, omitted)))
     assert consequence_span(known, n) == want
     assert omitted and not any(omitted)
 
@@ -330,7 +357,9 @@ def test_scans_keep_the_consequence_reducer(count_inserts):
     the expansion matrix for the kernel multiplicities and its transpose
     for the kernel, makes no insert.  Reducing the representatives modulo
     the closed direct consequence span made 961 (554), and orbit trials
-    in that span 895 (512)."""
+    in that span 895 (512).  The membership test made 2,873 (1,762)
+    before the lifted closure ended each coset chain at its lift's own
+    variable."""
     calls = count_inserts
     T = TEMPLATES
     rep = new_identities([T["f"], T["wa"], T["hbar"], T["ibar"]], 4)
@@ -342,7 +371,7 @@ def test_scans_keep_the_consequence_reducer(count_inserts):
                        mnode(a, mnode(b, c)) - mnode(b, mnode(a, c))]
     assert tideal_membership(multilinearize(T["crit36"].body),
                              bicommutativity, kind="m")
-    assert (len(calls), sum(calls)) == (2873, 1762)
+    assert (len(calls), sum(calls)) == (2480, 1762)
 
 
 def test_consequence_span_degree4_frozen_dims():
