@@ -15,9 +15,9 @@ import itertools
 from collections import deque
 from math import gcd
 
-from .linalg import Matrix, SpanReducer, _to_int_row, kernel_basis, rref
-from .mutation import _expander, _rename, bracket_monomials, expand
-from .perm import monomial_index
+from .linalg import (Combination, Matrix, SpanReducer, _to_int_row,
+                     kernel_basis, rref)
+from .mutation import bracket_monomials, expand, tree_shapes
 from .symmetric import dimension, grow, irreps, multiplicities
 from .terms import (MAX_MAGMATIC, Template, TermPoly, _magmatic_count, bnode,
                     fold, substitute, term_vars)
@@ -51,31 +51,49 @@ def magmatic_basis(n):
     return bracket_monomials(dict.fromkeys(_xnames(n), 1))
 
 
+def _tail_q_expansion(shape, first=0):
+    """The expansion of the bracket tree ``shape`` (``tree_shapes``) on
+    the leaves first, first + 1, ..., leaf i standing for x_(i+1), as a
+    Combination keyed by (tail leaf, number of q's): see ``_expansion``.
+    In <u, v> = (u p) v - (v q) u the first product takes its tail from
+    v and the q's of both factors, the second its tail from u and one q
+    more; this is ``mutation.expand``'s order of terms."""
+    if shape is None:
+        return Combination({(first, 0): 1})
+    k, left, right = shape
+    u = _tail_q_expansion(left, first)
+    v = _tail_q_expansion(right, first + k)
+    return (u.product(v, lambda s, t: (t[0], s[1] + t[1]))
+            - v.product(u, lambda s, t: (t[0], s[1] + t[1] + 1)))
+
+
 def _expansion(n):
-    """``expansion_matrix(n)`` and ``columns``: ``columns[r][k]`` is the
-    column of the k-th monomial of the shapes' expansions renamed by the
-    r-th leaf word.
+    """``expansion_matrix(n)`` and ``columns``: ``columns[r][(t, k)]`` is
+    the column of the monomial with tail x_(t+1) and k q's of the shapes'
+    expansions (``_tail_q_expansion``) renamed by the r-th leaf word.
+
+    Every bracket monomial of degree n in x1..xn expands into monomials
+    with all n letters once and n - 1 parameters, and left-commutativity
+    sorts the prefix, so such a monomial is fixed by its tail x_(t+1) and
+    its number k of q's.  Column t*n + k is that monomial: the n^2 pairs
+    (t, k) in sorted order are ``perm.mono_key`` order, which compares
+    tails first and then the sorted prefixes, where the x's agree and,
+    as p < q, the one with fewer q's comes first.
 
     Renaming x-generators is an automorphism of the free perm algebra
     that fixes p and q and commutes with the bracket
     (``mutation._canonical``), so only the tree of each shape at x1..xn
     is expanded: at the leaf word w the row is its expansion renamed by
-    x_i -> w_i, term for term.
+    x_i -> w_i, term for term, and renaming keeps the q's and sends the
+    tail x_(t+1) to x_(w[t]+1).
     """
-    basis = magmatic_basis(n)
-    names = _xnames(n)
-    words = list(itertools.permutations(names))
-    go = _expander()
-    shapes = [go(t) for t in basis[::len(words)]]
-    # the shapes' monomials, numbered by coefficients that renaming keeps
-    number = {m: k for k, m in enumerate(
-        dict.fromkeys(m for e in shapes for m in e.terms), 1)}
-    renamed = [_rename(number, dict(zip(names, w))) for w in words]
-    monos, idx = monomial_index(renamed)
-    columns = [{k: idx[m] for m, k in e.terms.items()} for e in renamed]
-    rows = [{col[number[m]]: c for m, c in e.terms.items()}
+    _check_degree(n)
+    shapes = [_tail_q_expansion(shape) for shape in tree_shapes(n)]
+    columns = [{(t, k): w[t] * n + k for t in range(n) for k in range(n)}
+               for w in itertools.permutations(range(n))]
+    rows = [{col[m]: c for m, c in e.terms.items()}
             for e in shapes for col in columns]
-    return Matrix(rows, len(monos)), columns
+    return Matrix(rows, n * n), columns
 
 
 def expansion_matrix(n):

@@ -14,6 +14,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
+_INT = frozenset((int,))
 _EXACT = frozenset((int, Fraction))
 
 
@@ -60,6 +61,29 @@ class Combination:
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def linear(cls, pairs):
+        """The sum of c * e over the (e, c) pairs, summed into one dict:
+        the terms, values and order of ``zero() + e.scale(c) + ...``
+        without copying the running sum once per pair."""
+        out = {}
+        for e, c in pairs:
+            c = _coeff(c)
+            if not c:
+                continue
+            for m, v in e.terms.items():
+                x = c * v
+                if type(x) is not int:
+                    x = _coeff(x)
+                nc = out.get(m, 0) + x
+                if nc:
+                    out[m] = nc
+                else:
+                    out.pop(m, None)
+        r = object.__new__(cls)
+        r.terms = out
+        return r
 
     def _new(self, terms):
         """A combination of this type holding ``terms`` as given."""
@@ -315,8 +339,10 @@ def _primitive(row):
 def _to_int_row(v):
     """Scale a rational sparse vector to coprime integers with a positive
     leading coefficient."""
-    if all(type(c) is int for c in v.values()):
-        return _primitive({k: c for k, c in v.items() if c})
+    vals = v.values()
+    if _INT.issuperset(map(type, vals)):
+        return _primitive(dict(v) if 0 not in vals
+                          else {k: c for k, c in v.items() if c})
     items = [(k, Fraction(c)) for k, c in v.items() if c]
     den = lcm(*(c.denominator for _, c in items))
     return _primitive({k: c.numerator * (den // c.denominator)

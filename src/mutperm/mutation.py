@@ -35,25 +35,17 @@ def _resolve_leaf(name, assignment):
         raise ValueError(f"unresolved variable {name!r}") from None
 
 
-def _expander(assignment=None):
-    """A term -> perm element expansion function that memoizes every
-    subterm it expands, across all the terms it is given."""
-    return fold(lambda name: _resolve_leaf(name, assignment),
-                lambda kind, a, b: bracket(a, b) if kind == "b" else a * b)
-
-
 def expand(poly, assignment=None):
     """Expand a bracket/product polynomial to a perm element.
 
     Leaves default to the like-named generator (x<i>, p or q); other names
     must appear in ``assignment``.  'b' nodes become the mutation product,
-    'm' nodes the ordinary perm product.
+    'm' nodes the ordinary perm product.  Every subterm is expanded once,
+    however many terms share it.
     """
-    go = _expander(assignment)
-    out = Elt.zero()
-    for t, c in poly.terms.items():
-        out = out + go(t).scale(c)
-    return out
+    go = fold(lambda name: _resolve_leaf(name, assignment),
+              lambda kind, a, b: bracket(a, b) if kind == "b" else a * b)
+    return Elt.linear((go(t), c) for t, c in poly.terms.items())
 
 
 @dataclass

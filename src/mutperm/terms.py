@@ -161,10 +161,7 @@ def substitute(poly, mapping):
         return TermPoly.var(name) if r is None else r
 
     go = fold(leaf, _combine)
-    out = TermPoly.zero()
-    for t, c in poly.terms.items():
-        out += go(t).scale(c)
-    return out
+    return TermPoly.linear((go(t), c) for t, c in poly.terms.items())
 
 
 def _relabel_occurrences(t, name, labels, counter):

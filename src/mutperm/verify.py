@@ -251,9 +251,8 @@ def _jacobiator_parts():
         return mnode(mnode(x, p), y) - mnode(mnode(y, q), x)
 
     go = fold(_v, circ)
-    jacobiator = TermPoly.zero()
-    for t, c in findim._JACOBIATOR.body.terms.items():
-        jacobiator += go(t).scale(c)
+    jacobiator = TermPoly.linear(
+        (go(t), c) for t, c in findim._JACOBIATOR.body.terms.items())
     parts = {}
     for t, c in jacobiator.terms.items():
         degrees = term_vars(t)

@@ -69,6 +69,15 @@ def perm_columns(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_expansion_columns_are_tail_and_q_count(n):
+    """n^2 columns; column (t - 1)*n + k is the monomial with tail x_t and
+    k q's."""
+    assert expansion_matrix(n).ncols == n * n
+    for i, (prefix, tail) in enumerate(perm_columns(n)):
+        assert i == (int(tail[1:]) - 1) * n + prefix.count("q")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_expansion_matrix_rows_are_expansions(n):
     """Each row is the expansion of its magmatic monomial, term order
     included: every row for n <= 5, 300 seeded rows for n = 6."""

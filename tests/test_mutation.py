@@ -13,9 +13,9 @@ from mutperm.mutation import (BSetElement, bracket_monomials,
                               is_mutation_element, tree_shapes, verify_basis_B)
 from mutperm.perm import (Elt, bracket, commutator, gkey, is_x,
                           normalize_word, x_multidegree)
-from mutperm.terms import TermPoly, parse
+from mutperm.terms import TermPoly, fold, parse
 
-from conftest import reduced_rows
+from conftest import random_cancelling_poly, reduced_rows, running_sum
 
 
 def test_expand_degree3_left_bracket():
@@ -485,3 +485,22 @@ def test_expand_with_assignment():
     assert val == bracket(Elt.gen("x1"), Elt.gen("x2"))
     with pytest.raises(ValueError):
         expand(poly, {"u": Elt.gen("x1")})
+
+
+def test_expand_matches_the_running_sum_fold():
+    """Terms, values and their order equal those of folding the running
+    sum, on seeded polynomials whose twin terms cancel (a, b and c expand
+    to the same element, so c's terms put cancelled keys back)."""
+    rng = random.Random(28)
+    value = Elt.gen("x1") - Elt.gen("x2").scale(Fraction(1, 2))
+    assignment = dict.fromkeys("abc", value)
+    go = fold(lambda name: assignment.get(name) or Elt.gen(name),
+              lambda _, a, b: bracket(a, b))
+    for _ in range(30):
+        poly = random_cancelling_poly(rng, ["a", "b", "c", "x1"],
+                                      {"a": "b"}, rng.randint(1, 12))
+        got = expand(poly, assignment)
+        want = running_sum(Elt.zero(), go, poly)
+        assert type(got) is Elt
+        assert ([(m, type(c), c) for m, c in got.terms.items()]
+                == [(m, type(c), c) for m, c in want.terms.items()])

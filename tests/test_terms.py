@@ -1,11 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from mutperm.terms import (TEMPLATES, ParseError, Template, TermPoly, bnode,
-                           mnode, multilinearize, parse, render, substitute,
-                           term_vars)
+from mutperm.terms import (TEMPLATES, ParseError, Template, TermPoly,
+                           _combine, bnode, fold, mnode, multilinearize,
+                           parse, render, substitute, term_vars)
+
+from conftest import random_cancelling_poly, running_sum
 
 
 def v(name):
@@ -57,6 +60,25 @@ def test_substitute_is_homomorphic():
     out = substitute(poly, repl)
     assert out == bnode(parse("<u,w>"), v("z")) \
         + mnode(parse("<u,w>"), v("z")).scale(2)
+
+
+def test_substitute_matches_the_running_sum_fold():
+    """Terms, values and their order equal those of folding the running
+    sum, on seeded polynomials whose twin terms cancel (a, b and c map
+    to the same value, so c's terms put cancelled keys back)."""
+    rng = random.Random(28)
+    value = parse("<u,w> - 1/2*(u*u)")
+    mapping = dict.fromkeys("abc", value)
+    go = fold(lambda name: mapping.get(name) or TermPoly.var(name),
+              _combine)
+    for _ in range(30):
+        poly = random_cancelling_poly(rng, ["a", "b", "c", "x1"],
+                                      {"a": "b"}, rng.randint(1, 12))
+        got = substitute(poly, mapping)
+        want = running_sum(TermPoly.zero(), go, poly)
+        assert type(got) is TermPoly
+        assert ([(t, type(c), c) for t, c in got.terms.items()]
+                == [(t, type(c), c) for t, c in want.terms.items()])
 
 
 def test_multilinearize_counts():
