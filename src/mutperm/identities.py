@@ -18,7 +18,7 @@ from math import gcd
 from .linalg import (Combination, Matrix, SpanReducer, _to_int_row,
                      kernel_basis, rref)
 from .mutation import bracket_monomials, expand, tree_shapes
-from .symmetric import dimension, grow, irreps, multiplicities
+from .symmetric import Quotient, dimension, grow, irreps, multiplicities
 from .terms import (MAX_MAGMATIC, Template, TermPoly, _magmatic_count, bnode,
                     fold, substitute, term_vars)
 
@@ -444,16 +444,23 @@ def new_identities(known, n):
     whose orbits span K with the consequences R.  In each round every
     kernel basis vector v is scored by its gain, the dimension its orbit
     adds to R, read off per irreducible as
-    sum_λ d_λ (rank [R_λ; rho_λ(v)] - rank R_λ); the first vector of
-    largest gain wins and its orbit joins R, until R reaches dim K.  The
-    winner's residue r modulo the orbits of the representatives chosen
-    before it, divided by the positive gcd of its integer coefficients
-    (so primitive, with its sign kept), joins ``representatives``.  Any
+    sum_λ d_λ (rank [R_λ; rho_λ(v)] - rank R_λ), which ``Quotient`` reads
+    in null-space coordinates as sum_λ d_λ rank(rho_λ(v) N_λ); the first
+    vector of largest gain wins and its orbit joins R, until R reaches
+    dim K.  The winner's residue r modulo the orbits of the
+    representatives chosen before it, divided by the positive gcd of its
+    integer coefficients (so primitive, with its sign kept), joins
+    ``representatives``.  Any
     such r serves: those orbits span an S_n-closed R' inside R, and
     v - r lies in R', so S_n r + R = S_n v + R, and r is not 0 because
-    v is not in R.  R is held only as its per-λ spans R_λ.  A greedy set
-    need not be a smallest one, so ``new_dim`` bounds the number of new
-    generators needed from above.
+    v is not in R.  R is held only per irreducible, never as a direct
+    span.  QS_n is split semisimple and holds λ d_λ times, so a module
+    that g vectors generate holds λ at most g d_λ times, and K/R needs at
+    least max_λ ceil((m_λ(K) - dim R_λ) / d_λ) new generators.
+    ``new_dim`` meets this bound, so the greedy set is a smallest one,
+    for f, wa, hbar and ibar at degrees 4 and 5 (2 each), f and wa at
+    degrees 3 (0) and 4 (2), f at degrees 3 (1) and 4 (5), wa at degree
+    4 (2) and nothing known at degrees 3 (2), 4 (5) and 5 (14).
     Raises ValueError before anything is built for a degree out of range
     and for a known identity that ``_usable`` refuses or (with a witness)
     that does not vanish in mutations of perm algebras.
@@ -478,34 +485,37 @@ def new_identities(known, n):
                  for sigma in itertools.permutations(range(n))]
         # the orbits of the representatives so far, to reduce the next one
         chosen = SpanReducer()
-        # The per-λ spans hold R, which stays closed under variable
-        # permutations.  R and every candidate lie in the kernel, so
-        # m_λ(K) caps each R_λ exactly, and a candidate whose gain
-        # reaches kdim ends the round.  The gain dim S_n v - dim(S_n v ∩ R)
-        # cannot grow with R, so a candidate's last gain bounds its gain
-        # now, and one whose bound cannot beat the best gain is skipped.
-        candidates = [_to_int_row(v) for v in kb]
+        # R stays closed under variable permutations.  R and every
+        # candidate lie in the kernel, so m_λ(K) caps each R_λ exactly,
+        # and a candidate whose gain reaches kdim ends the round.  The
+        # gain dim S_n v - dim(S_n v ∩ R) cannot grow with R, so a
+        # candidate's last gain bounds its gain now, and one whose bound
+        # cannot beat the best gain is skipped.  A candidate's rho_λ rows
+        # are built when it is first scored and kept for later rounds.
+        quotient = Quotient(n, spans, caps)
+        rows = [None] * len(kb)
         bounds = [kdim] * len(kb)
         dim = cdim
         while dim < kdim:
             best, best_dim = None, dim
-            for i, v in enumerate(candidates):
+            for i, v in enumerate(kb):
                 if dim + bounds[i] <= best_dim:
                     continue
-                trial = grow(n, [v], caps, spans)
-                trial_dim = dimension(n, trial)
-                bounds[i] = trial_dim - dim
-                if trial_dim > best_dim:
-                    best, best_dim, best_spans = i, trial_dim, trial
-                    if trial_dim == kdim:
+                if rows[i] is None:
+                    rows[i] = quotient.rows(_to_int_row(v))
+                bounds[i] = quotient.gain(rows[i])
+                if dim + bounds[i] > best_dim:
+                    best, best_dim = i, dim + bounds[i]
+                    if best_dim == kdim:
                         break
+            quotient.add(rows[best])
             residue = chosen.residue(kb[best])
             content = gcd(*residue.values())
             residue = {k: c // content for k, c in residue.items()}
             representatives.append(vec_to_poly(residue, space.basis))
             for act in orbit:
                 chosen.insert(act(residue))
-            spans, dim = best_spans, best_dim
+            dim = best_dim
     return {"kernel_dim": kdim, "consequence_dim": cdim,
             "new_dim": len(representatives),
             "representatives": representatives}

@@ -202,9 +202,10 @@ def rref(m):
 
     It back-substitutes as it goes: the kept rows are primitive integer
     rows, each positive at its pivot (its first column) and 0 at the
-    other pivots.  A row of m, scaled to coprime integers, is cancelled
-    at the pivot columns of its own support; no cancel adds an entry at a
-    pivot column, so one pass leaves its residue.  A nonzero residue is
+    other pivots.  A row of m, taken as it is when its entries are ints
+    and scaled to integers otherwise, is cancelled at the pivot columns
+    of its own support; no cancel adds an entry at a pivot column, so one
+    pass leaves its residue.  A nonzero residue is made primitive and
     kept, pivoting at its first column, and cancelled from the kept rows
     that have an entry there.  The kept rows span the rows of m and are
     reduced, so divided by their pivots they are its RREF, which is
@@ -212,7 +213,8 @@ def rref(m):
     """
     kept = {}
     for r in m.rows:
-        v = _to_int_row(r)
+        v = (dict(r) if _INT.issuperset(map(type, r.values()))
+             else _to_int_row(r))
         for c in [c for c in v if c in kept]:
             _cancel(v, c, kept[c], [])
         if not v:

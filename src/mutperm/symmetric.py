@@ -18,9 +18,9 @@ import itertools
 from collections import deque
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
-from .linalg import SpanReducer
+from .linalg import Matrix, SpanReducer, _to_int_row, kernel_basis
 
 
 def partitions(n, largest=None):
@@ -167,22 +167,15 @@ def multiplicities(n, character):
     return out
 
 
-def grow(n, vectors, caps, spans=None):
+def grow(n, vectors, caps):
     """Per partition λ of n, the row span of the stacked rho_λ(v), v in
-    the integer sparse ``vectors`` in order, on top of a copy of
-    ``spans[λ]`` (an empty span when ``spans`` is None): a list of
-    ``SpanReducer``s.  Each stops once its dimension reaches ``caps[λ]``,
-    so it is never above the rank it would have with no cap, and it is
-    that rank whenever the cap is not below it.  The spans given are not
-    changed; one already at its cap is returned as it is."""
+    the integer sparse ``vectors`` in order: a list of ``SpanReducer``s.
+    Each stops once its dimension reaches ``caps[λ]``, so it is never
+    above the rank it would have with no cap, and it is that rank
+    whenever the cap is not below it."""
     out = []
     for k, rep in enumerate(irreps(n)):
-        if spans is not None and spans[k].dim >= caps[k]:
-            out.append(spans[k])
-            continue
         red = SpanReducer()
-        if spans is not None:
-            red.pivot_rows = dict(spans[k].pivot_rows)
         for v in vectors:
             if red.dim >= caps[k]:
                 break
@@ -191,6 +184,100 @@ def grow(n, vectors, caps, spans=None):
                     break
         out.append(red)
     return out
+
+
+def _as_rows(columns, nrows):
+    """The nrows x len(columns) integer matrix whose column t is
+    ``columns[t]`` scaled by ``_to_int_row``, as its sparse rows."""
+    rows = [{} for _ in range(nrows)]
+    for t, v in enumerate(columns):
+        for i, c in _to_int_row(v).items():
+            rows[i][t] = c
+    return rows
+
+
+def _times(x, rows):
+    """The sparse row x times the matrix of the sparse ``rows``; x itself
+    when ``rows`` is None, the identity."""
+    if rows is None:
+        return x
+    out = {}
+    for i, c in x.items():
+        for t, a in rows[i].items():
+            out[t] = out.get(t, 0) + c * a
+    return {t: c for t, c in out.items() if c}
+
+
+class Quotient:
+    """V_n modulo a submodule R, in null-space coordinates per
+    irreducible.  R starts as the per-λ ``spans`` of ``grow`` capped at
+    ``caps[λ]``, the multiplicities of λ in a submodule K that holds R
+    and every vector given later.  λ is open while dim R_λ < caps[λ];
+    ``room[λ]`` is caps[λ] - dim R_λ, and N_λ is an integer basis of the
+    right null space of R_λ's rows, its columns the ``kernel_basis``
+    vectors scaled by ``_to_int_row`` (None, the identity, while R_λ is
+    empty; nothing once λ closes).
+
+    The gain of v, dim(S_n v + R) - dim R, is sum_λ d_λ rank(rho_λ(v) N_λ)
+    over the open λ.  By the double annihilator, x N_λ = 0 exactly when
+    the row x lies in R_λ, so rank(rho_λ(v) N_λ) = rank [R_λ; rho_λ(v)] -
+    rank R_λ, and a row of rho_λ(v) N_λ is independent of the rows before
+    it exactly when the row of rho_λ(v) is independent of R_λ and the
+    rows before it: ranking the products makes the insert calls, with the
+    same results, that inserting rho_λ(v) on top of R_λ makes.  The rank
+    stops at room[λ], where such a span stops at its cap; v in K keeps it
+    from stopping early.  No row is reduced against R_λ.  Adding S_n w
+    to R replaces N_λ by N_λ M, M a basis of the null space of
+    Y = rho_λ(w) N_λ, as null(R_λ + rowspace rho_λ(w)) = N_λ null(Y),
+    and room[λ] drops by rank Y."""
+
+    def __init__(self, n, spans, caps):
+        self.reps = irreps(n)
+        self.room = [cap - red.dim for cap, red in zip(caps, spans)]
+        self.width, self.null = [], []
+        shapes = comb(2 * n - 2, n - 1) // n
+        for rep, red, room in zip(self.reps, spans, self.room):
+            cols, rows = shapes * rep.dim, list(red.pivot_rows.values())
+            self.width.append(cols - len(rows))
+            self.null.append(_as_rows(kernel_basis(Matrix(rows, cols)), cols)
+                             if room and rows else None)
+
+    def rows(self, v):
+        """rho_λ(v) (``Irrep.rows``) at each open λ, None at the others,
+        for v an integer sparse vector over V_n."""
+        return [rep.rows(v) if room else None
+                for rep, room in zip(self.reps, self.room)]
+
+    def gain(self, rows):
+        """dim(S_n v + R) - dim R for the ``rows(v)`` of a v in K: the
+        rank of rho_λ(v) N_λ, counted d_λ times, over the open λ."""
+        total = 0
+        for rep, room, null, x in zip(self.reps, self.room, self.null,
+                                      rows):
+            if not room:
+                continue
+            red = SpanReducer()
+            for row in x:
+                if red.insert(_times(row, null)) and red.dim >= room:
+                    break
+            total += rep.dim * red.dim
+        return total
+
+    def add(self, rows):
+        """Add S_n w to R, for the ``rows(w)`` of a w in K."""
+        for k, x in enumerate(rows):
+            if not self.room[k]:
+                continue
+            width, null = self.width[k], self.null[k]
+            m = kernel_basis(Matrix([_times(row, null) for row in x], width))
+            self.room[k] -= width - len(m)
+            self.width[k] = len(m)
+            if not self.room[k]:
+                self.null[k] = None
+            elif len(m) < width:
+                m = _as_rows(m, width)
+                self.null[k] = (m if null is None
+                                else [_times(row, m) for row in null])
 
 
 def dimension(n, spans):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -380,6 +381,27 @@ def run_child(*argv):
                           capture_output=True, text=True, timeout=20,
                           env=dict(os.environ, PYTHONPATH=path),
                           preexec_fn=_limit_memory)
+
+
+# sha256 of the sorted-key JSON of the results below
+DEGREE5_GAP_DIGEST = (
+    "2469c39499e8de480ae88048913d20ebc02681d44cd6ef58ba86288087b66334")
+
+
+def test_identities_degree5_gap_record_is_pinned():
+    """The degree-5 scan that leaves a gap of 86 answers in a child
+    process under its time limit, with the same two generators."""
+    r = run_child("--format", "record", "identities", "--degree", "5",
+                  "--known", "f,wa,hbar,ibar")
+    assert r.returncode == 0, r.stderr
+    results = json.loads(r.stdout)["results"]
+    assert (results["kernel_dim"], results["consequence_dim"],
+            results["new_dim"]) == (1659, 1573, 2)
+    assert [len(parse(p).terms)
+            for p in results["representatives"]] == [13, 240]
+    digest = hashlib.sha256(
+        json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == DEGREE5_GAP_DIGEST
 
 
 def _balanced(k):

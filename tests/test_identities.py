@@ -8,15 +8,16 @@ import pytest
 
 from mutperm import identities, verify
 from mutperm.identities import (_DegreeSpace, _as_poly_at_x, _lift_maps,
-                                consequence_span, expansion_matrix,
-                                identity_kernel, kernel_multiplicities,
-                                magmatic_basis, new_identities, poly_to_vec,
+                                consequence_span, consequences_per_lambda,
+                                expansion_matrix, identity_kernel,
+                                kernel_multiplicities, magmatic_basis,
+                                new_identities, poly_to_vec,
                                 tideal_membership, vec_to_poly)
 from mutperm.linalg import (Matrix, SpanReducer, _to_int_row, kernel_basis,
                             rref)
 from mutperm.mutation import expand
 from mutperm.perm import mono_key
-from mutperm.symmetric import dimension, grow
+from mutperm.symmetric import Quotient, dimension, grow, irreps
 from mutperm.terms import (TEMPLATES, Template, TermPoly, bnode, mnode,
                            multilinearize, parse, rename_leaves, substitute,
                            term_vars)
@@ -461,15 +462,40 @@ def trial_loop_new_identities(known, n):
     return report, rounds, kb
 
 
+def grow_on_top(n, vectors, caps, spans):
+    """``symmetric.grow`` on top of a copy of the per-λ ``spans``, which
+    are not changed: each copy takes the rows of rho_λ(v), v in
+    ``vectors``, until it reaches its cap."""
+    out = []
+    for k, rep in enumerate(irreps(n)):
+        red = SpanReducer()
+        red.pivot_rows = dict(spans[k].pivot_rows)
+        for v in vectors:
+            if red.dim >= caps[k]:
+                break
+            for row in rep.rows(v):
+                if red.insert(row) and red.dim >= caps[k]:
+                    break
+        out.append(red)
+    return out
+
+
+def copy_on_top_gains(spans, vectors, n, caps):
+    """Each vector's gain over the per-λ ``spans``:
+    sum_λ d_λ (rank [R_λ; rho_λ(v)] - rank R_λ), rho_λ(v) inserted into
+    a copy of R_λ."""
+    dim = dimension(n, spans)
+    return [dimension(n, grow_on_top(n, [_to_int_row(v)], caps, spans))
+            - dim for v in vectors]
+
+
 def orbit_gains(pivot_rows, kb, n):
-    """Every candidate's gain as new_identities scores it, from the span
-    with the given pivot rows: sum_λ d_λ (rank [R_λ; rho_λ(v)] - rank R_λ),
+    """Every candidate's gain, from the span with the given pivot rows,
     with R_λ built here from the span's own rows."""
     _, caps = kernel_multiplicities(n)
     spans = grow(n, list(pivot_rows.values()), caps)
     assert dimension(n, spans) == len(pivot_rows)
-    return [dimension(n, grow(n, [_to_int_row(v)], caps, spans))
-            - len(pivot_rows) for v in kb]
+    return copy_on_top_gains(spans, kb, n, caps)
 
 
 def seeded_known(rng, names):
@@ -531,6 +557,63 @@ def test_new_identities_against_trial_loop_seeded(seed):
             assert orbit_gains(pivot_rows, kb, n) == gains
 
 
+def scored_gains(known, n):
+    """The report of new_identities(known, n) and, per round, the
+    (candidate, gain) pairs of every candidate it scores, in order,
+    recorded from ``Quotient``: a candidate's rows are built once, and
+    ``add`` ends a round."""
+    rounds, owner = [[]], {}
+    rows, gain, add = Quotient.rows, Quotient.gain, Quotient.add
+
+    def recording_rows(self, v):
+        out = rows(self, v)
+        owner[id(out)] = v
+        return out
+
+    def recording_gain(self, x):
+        rounds[-1].append((owner[id(x)], gain(self, x)))
+        return rounds[-1][-1][1]
+
+    def recording_add(self, x):
+        add(self, x)
+        rounds.append([])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Quotient, "rows", recording_rows)
+        mp.setattr(Quotient, "gain", recording_gain)
+        mp.setattr(Quotient, "add", recording_add)
+        report = new_identities(known, n)
+    return report, rounds[:-1]
+
+
+@pytest.mark.parametrize("names,n", GAIN_CASES,
+                         ids=case_ids(GAIN_CASES))
+def test_null_space_gains_equal_orbit_gains(names, n):
+    """Every gain the scan reads in null-space coordinates, in every
+    round, is the candidate's gain over the direct span R of that round
+    (the consequences and the orbits of the representatives so far)."""
+    known = [TEMPLATES[name] for name in names]
+    report, rounds = scored_gains(known, n)
+    assert len(rounds) == report["new_dim"]
+    spans = direct_spans(known, n, report["representatives"])
+    for pivot_rows, scored in zip(spans, rounds):
+        vectors, gains = zip(*scored)
+        assert orbit_gains(pivot_rows, vectors, n) == list(gains)
+
+
+def test_null_space_gains_equal_orbit_gains_at_degree5():
+    """The first 100 gains of the first round at degree 5, where R is the
+    consequences of f, wa, hbar and ibar (1,573 of 1,659), its R_λ those
+    of ``consequences_per_lambda``."""
+    known = [TEMPLATES[name] for name in KNOWN4]
+    report, rounds = scored_gains(known, 5)
+    assert (report["consequence_dim"], report["new_dim"]) == (1573, 2)
+    vectors, gains = zip(*rounds[0][:100])
+    _, caps = kernel_multiplicities(5)
+    spans = consequences_per_lambda(known, 5, caps)
+    assert copy_on_top_gains(spans, vectors, 5, caps) == list(gains)
+
+
 VALID_CASES = GAIN_CASES + [(("f",), 4), (("wa",), 4), ((), 4)]
 
 
@@ -552,6 +635,23 @@ def test_new_identities_representatives_are_valid(names, n):
     closed = new_identities(known + rep["representatives"], n)
     assert closed["new_dim"] == 0
     assert closed["consequence_dim"] == rep["kernel_dim"]
+
+
+@pytest.mark.parametrize("names,n,bound", [
+    (*case, bound) for case, bound in zip(VALID_CASES,
+                                          (0, 2, 1, 2, 2, 5, 2, 5))],
+    ids=case_ids(VALID_CASES))
+def test_greedy_count_meets_the_lower_bound(names, n, bound):
+    """QS_n is split semisimple and holds λ d_λ times, so a module that g
+    vectors generate holds λ at most g d_λ times, and K/R needs at least
+    max_λ ceil(gap_λ / d_λ) generators, gap_λ = m_λ(K) - dim R_λ.  The
+    greedy count meets that bound in each of these cases."""
+    known = [TEMPLATES[name] for name in names]
+    _, caps = kernel_multiplicities(n)
+    spans = consequences_per_lambda(known, n, caps)
+    assert max(-(-(cap - red.dim) // rep.dim) for cap, red, rep
+               in zip(caps, spans, irreps(n))) == bound
+    assert new_identities(known, n)["new_dim"] == bound
 
 
 def dims(report):
@@ -578,43 +678,38 @@ def test_closed_scans_never_build_the_direct_span(monkeypatch):
 
 def per_round_dims(known, n):
     """The report of new_identities(known, n) and the per-irreducible
-    dimension of R before each round and after the last: the consequences
-    first, then each span the scan scores its candidates against, then
-    dim K, where the loop stops."""
-    rounds = []
-    grow_spans = identities.grow
+    dimension of R before each round and after the last: that of the
+    consequences of ``known`` and the first k representatives, for
+    k = 0, 1, ..., their number."""
+    report = new_identities(known, n)
+    _, caps = kernel_multiplicities(n)
+    reps = report["representatives"]
+    return report, [
+        dimension(n, consequences_per_lambda(known + reps[:k], n, caps))
+        for k in range(len(reps) + 1)]
 
-    def recording(n, vectors, caps, spans=None):
-        out = grow_spans(n, vectors, caps, spans)
-        if spans is None:
-            rounds.append(out)
-        elif spans is not rounds[-1]:
-            rounds.append(spans)
-        return out
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(identities, "grow", recording)
-        report = new_identities(known, n)
-    dims = [dimension(n, spans) for spans in rounds]
-    if report["new_dim"]:
-        dims.append(report["kernel_dim"])
-    return report, dims
+def direct_spans(known, n, representatives):
+    """Oracle: the pivot rows of consequence_span(known, n) plus the
+    orbits of the first k representatives, for k = 0, 1, ..., their
+    number."""
+    _, index, maps = renaming_maps(n)
+    red = SpanReducer()
+    for v in consequence_span(known, n):
+        red.insert(v)
+    out = [dict(red.pivot_rows)]
+    for poly in representatives:
+        vec = poly_to_vec(poly, index)
+        for m in maps:
+            red.insert({m[i]: c for i, c in vec.items()})
+        out.append(dict(red.pivot_rows))
+    return out
 
 
 def direct_dims(known, n, representatives):
     """Oracle: the rank of consequence_span(known, n) plus the orbits of
     the first k representatives, for k = 0, 1, ..., their number."""
-    _, index, maps = renaming_maps(n)
-    red = SpanReducer()
-    for v in consequence_span(known, n):
-        red.insert(v)
-    out = [red.dim]
-    for poly in representatives:
-        vec = poly_to_vec(poly, index)
-        for m in maps:
-            red.insert({m[i]: c for i, c in vec.items()})
-        out.append(red.dim)
-    return out
+    return [len(rows) for rows in direct_spans(known, n, representatives)]
 
 
 @pytest.mark.parametrize("names,n", GAIN_CASES,
@@ -626,6 +721,7 @@ def test_per_irreducible_dimension_matches_the_direct_span(names, n):
     known = [TEMPLATES[name] for name in names]
     report, dims = per_round_dims(known, n)
     assert dims == direct_dims(known, n, report["representatives"])
+    assert dims[0] == report["consequence_dim"]
 
 
 def test_dropped_generator_breaks_the_per_irreducible_dimension(
@@ -635,10 +731,8 @@ def test_dropped_generator_breaks_the_per_irreducible_dimension(
     test_per_irreducible_dimension_matches_the_direct_span sees it."""
     grow_spans = identities.grow
 
-    def drop_first_generator(n, vectors, caps, spans=None):
-        if spans is None:
-            vectors = vectors[1:]
-        return grow_spans(n, vectors, caps, spans)
+    def drop_first_generator(n, vectors, caps):
+        return grow_spans(n, vectors[1:], caps)
 
     monkeypatch.setattr(identities, "grow", drop_first_generator)
     known = [TEMPLATES[name] for name in KNOWN4]

@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 from mutperm.linalg import (Combination, Inconsistent, Matrix, SpanReducer,
-                            clean_vec, kernel_basis, rref, solve, sparse_vec)
+                            _primitive, clean_vec, kernel_basis, rref, solve,
+                            sparse_vec)
 from mutperm.terms import TermPoly
 
 from conftest import reduced_rows
@@ -234,6 +235,28 @@ def test_rref_idempotent_and_deterministic():
         again, rank2 = rref(ech)
         assert again == ech and rank2 == rank
         assert rref(m)[0] == ech
+
+
+def test_rref_takes_int_rows_at_any_scale():
+    """rref reduces an int row as it is, unscaled: rows scaled by 6, or
+    with a negative leading entry, give the RREF and rank of their
+    primitive and Fraction forms."""
+    rng = random.Random(12)
+    for _ in range(60):
+        ncols = rng.randint(1, 10)
+        base = [{j: rng.randint(-4, 4) for j in range(ncols)
+                 if rng.random() < 0.6} for _ in range(rng.randint(1, 4))]
+        rows = [{j: sum(rng.randint(-2, 2) * b.get(j, 0) for b in base)
+                 for j in range(ncols)} for _ in range(rng.randint(1, 8))]
+        primitive = [_primitive({j: c for j, c in r.items() if c})
+                     for r in rows]
+        want = rref(Matrix(primitive, ncols))
+        k = len(primitive)
+        mixed = [rng.choice((-6, -1, 6)) for _ in primitive]
+        for scales in ([6] * k, [-1] * k, mixed, [Fraction(1, 7)] * k):
+            form = [{j: s * c for j, c in r.items()}
+                    for s, r in zip(scales, primitive)]
+            assert rref(Matrix(form, ncols)) == want
 
 
 def test_kernel_vectors_annihilate_and_rank_nullity():
