@@ -18,9 +18,10 @@ from math import gcd
 from .linalg import (Combination, Matrix, SpanReducer, _to_int_row,
                      kernel_basis, rref)
 from .mutation import bracket_monomials, expand, tree_shapes
-from .symmetric import Quotient, dimension, grow, irreps, multiplicities
-from .terms import (MAX_MAGMATIC, Template, TermPoly, _magmatic_count, bnode,
-                    fold, substitute, term_vars)
+from .symmetric import (Quotient, dimension, grow, partitions,
+                        standard_tableaux)
+from .terms import (MAX_MAGMATIC, MAX_SCAN_DEGREE, Template, TermPoly,
+                    _magmatic_count, bnode, fold, substitute, term_vars)
 
 
 def _check_degree(n):
@@ -54,10 +55,11 @@ def magmatic_basis(n):
 def _tail_q_expansion(shape, first=0):
     """The expansion of the bracket tree ``shape`` (``tree_shapes``) on
     the leaves first, first + 1, ..., leaf i standing for x_(i+1), as a
-    Combination keyed by (tail leaf, number of q's): see ``_expansion``.
-    In <u, v> = (u p) v - (v q) u the first product takes its tail from
-    v and the q's of both factors, the second its tail from u and one q
-    more; this is ``mutation.expand``'s order of terms."""
+    Combination keyed by (tail leaf, number of q's): see
+    ``expansion_matrix``.  In <u, v> = (u p) v - (v q) u the first
+    product takes its tail from v and the q's of both factors, the second
+    its tail from u and one q more; this is ``mutation.expand``'s order
+    of terms."""
     if shape is None:
         return Combination({(first, 0): 1})
     k, left, right = shape
@@ -67,10 +69,8 @@ def _tail_q_expansion(shape, first=0):
             - v.product(u, lambda s, t: (t[0], s[1] + t[1] + 1)))
 
 
-def _expansion(n):
-    """``expansion_matrix(n)`` and ``columns``: ``columns[r][(t, k)]`` is
-    the column of the monomial with tail x_(t+1) and k q's of the shapes'
-    expansions (``_tail_q_expansion``) renamed by the r-th leaf word.
+def expansion_matrix(n):
+    """Rows: magmatic monomials; columns: perm monomials (global order).
 
     Every bracket monomial of degree n in x1..xn expands into monomials
     with all n letters once and n - 1 parameters, and left-commutativity
@@ -83,54 +83,62 @@ def _expansion(n):
     Renaming x-generators is an automorphism of the free perm algebra
     that fixes p and q and commutes with the bracket
     (``mutation._canonical``), so only the tree of each shape at x1..xn
-    is expanded: at the leaf word w the row is its expansion renamed by
-    x_i -> w_i, term for term, and renaming keeps the q's and sends the
-    tail x_(t+1) to x_(w[t]+1).
+    is expanded (``_tail_q_expansion``): at the leaf word w the row is
+    its expansion renamed by x_i -> w_i, term for term, and renaming
+    keeps the q's and sends the tail x_(t+1) to x_(w[t]+1).
     """
     _check_degree(n)
     shapes = [_tail_q_expansion(shape) for shape in tree_shapes(n)]
-    columns = [{(t, k): w[t] * n + k for t in range(n) for k in range(n)}
-               for w in itertools.permutations(range(n))]
-    rows = [{col[m]: c for m, c in e.terms.items()}
-            for e in shapes for col in columns]
-    return Matrix(rows, n * n), columns
+    rows = [{w[t] * n + k: c for (t, k), c in e.terms.items()}
+            for e in shapes for w in itertools.permutations(range(n))]
+    return Matrix(rows, n * n)
 
 
-def expansion_matrix(n):
-    """Rows: magmatic monomials; columns: perm monomials (global order)."""
-    return _expansion(n)[0]
-
-
-def kernel_multiplicities(n, expansion=None):
+def kernel_multiplicities(n, mat=None):
     """dim K and the multiplicities m_λ(K), in ``symmetric.partitions``
     order, of the irreducibles of S_n in the degree-n identity kernel K.
-    ``expansion`` is ``_expansion(n)``, when the caller has it already.
+    ``mat`` is ``expansion_matrix(n)``, when the caller has it already.
 
-    The expansion map commutes with renaming and V_n is C = Catalan(n-1)
-    copies of QS_n, so m_λ(K) = C*d_λ - m_λ(image).  The image character
-    at sigma is sum_i (sigma.row_i)[pivot_i] over the RREF rows of
-    ``expansion_matrix(n)``: sigma.row_i lies in the image, whose vectors
-    u are sum_i u[pivot_i] row_i.  sigma sends the column of shape
-    monomial k at word w to its column at sigma o w; this takes the entry
-    at that column, the value of (sigma^-1.row_i)[pivot_i], and every
-    permutation is conjugate to its inverse.
+    The expansion map E commutes with renaming and V_n is C =
+    Catalan(n-1) copies of QS_n, so m_λ(K) = C*d_λ - m_λ(image).  The
+    columns of E are the n^2 pairs (tail t, number of q's k), and
+    renaming by sigma sends (t, k) to (sigma(t), k), so the image lies in
+    n copies of the permutation module Q^n = (n) + (n-1, 1), and no other
+    λ occurs in it.  For such a module W, dim W^G is m_(n)(W) for G = S_n
+    and m_(n)(W) + m_(n-1,1)(W) for G = S_(n-1), the renamings that fix
+    x_n: each of the two restricts to S_(n-1) with exactly one fixed
+    line.  Averaging over G commutes with E, so image^G is E of V_n^G,
+    which the G-orbit sums of the basis span, and E of a basis vector is
+    its row: image^G is spanned by the rows of one shape summed over all
+    n! words (C sums) for S_n, and over the words that put x_n at one
+    given leaf (C*n sums) for S_(n-1).  So m_(n)(image) is the rank of
+    the C sums, m_(n-1,1)(image) the rank of the C*n sums less that, and
+    dim K = C*n! - m_(n)(image) - (n-1) m_(n-1,1)(image).
     """
-    mat, columns = expansion or _expansion(n)
-    ech, rank = rref(mat)
+    mat = mat or expansion_matrix(n)
     words = list(itertools.permutations(range(n)))
-    position = {w: r for r, w in enumerate(words)}
-    origin = {c: (r, k) for r, col in enumerate(columns)
-              for k, c in col.items()}
-    pivots = [(row, origin[min(row)]) for row in ech.rows]
+    shapes, width = mat.nrows // len(words), n * n
+    # the S_(n-1)-orbit sums as dense rows, by shape and x_n's leaf
+    sums = [0] * (shapes * n * width)
+    for i, row in enumerate(mat.rows):
+        s, r = divmod(i, len(words))
+        base = (s * n + words[r].index(n - 1)) * width
+        for c, x in row.items():
+            sums[base + c] += x
+    fixed = [sums[b:b + width] for b in range(0, len(sums), width)]
+    full = [[sum(col) for col in zip(*fixed[s:s + n])]
+            for s in range(0, len(fixed), n)]
 
-    def trace(sigma):
-        return sum(row.get(columns[position[tuple(
-            sigma[i] for i in words[r])]][k], 0) for row, (r, k) in pivots)
+    def rank(dense):
+        return rref(Matrix([{c: x for c, x in enumerate(row) if x}
+                            for row in dense], width))[1]
 
-    image = multiplicities(n, [trace(sigma) for sigma in words])
-    shapes = mat.nrows // len(words)
-    return mat.nrows - rank, [shapes * rep.dim - m
-                              for rep, m in zip(irreps(n), image)]
+    trivial = rank(full)
+    standard = rank(fixed) - trivial
+    dims = [len(standard_tableaux(shape)) for shape in partitions(n)]
+    image = itertools.chain((trivial, standard), itertools.repeat(0))
+    return (mat.nrows - trivial - (n - 1) * standard,
+            [shapes * d - m for d, m in zip(dims, image)])
 
 
 def vec_to_poly(vec, basis):
@@ -462,8 +470,9 @@ def new_identities(known, n):
     degrees 3 (0) and 4 (2), f at degrees 3 (1) and 4 (5), wa at degree
     4 (2) and nothing known at degrees 3 (2), 4 (5) and 5 (14).
     Raises ValueError before anything is built for a degree out of range
-    and for a known identity that ``_usable`` refuses or (with a witness)
-    that does not vanish in mutations of perm algebras.
+    or above ``MAX_SCAN_DEGREE`` and for a known identity that
+    ``_usable`` refuses or (with a witness) that does not vanish in
+    mutations of perm algebras.
     """
     items = _usable(known, n)
     for it, (_, poly) in zip(known, items):
@@ -471,15 +480,18 @@ def new_identities(known, n):
         if val:
             name = it.name if isinstance(it, Template) else str(it)
             raise ValueError(f"not an identity: {name}; expansion {val}")
+    if n > MAX_SCAN_DEGREE:
+        raise ValueError(f"degree {n} is above {MAX_SCAN_DEGREE}, the highest "
+                         f"degree this scan finishes")
 
-    expansion = _expansion(n)
-    kdim, caps = kernel_multiplicities(n, expansion)
+    mat = expansion_matrix(n)
+    kdim, caps = kernel_multiplicities(n, mat)
     spans = _per_lambda(items, n, caps)
     cdim = dimension(n, spans)
 
     representatives = []
     if cdim < kdim:
-        kb = kernel_basis(expansion[0].transpose())
+        kb = kernel_basis(mat.transpose())
         space = _DegreeSpace(n)
         orbit = [space.action(sigma)
                  for sigma in itertools.permutations(range(n))]

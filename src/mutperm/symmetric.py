@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 
 from .linalg import Matrix, SpanReducer, _to_int_row, kernel_basis
 
@@ -84,8 +83,7 @@ class Irrep:
     ``shape``, of dimension ``dim``.  ``words[r]`` is scale * rho_λ(w_r)
     for the r-th word of ``itertools.permutations(range(n))``, a row-major
     tuple of ints: one common denominator ``scale`` clears every entry of
-    every rho_λ(w), and a nonzero scalar leaves every rank unchanged.
-    ``traces[r]`` is the trace of ``words[r]``."""
+    every rho_λ(w), and a nonzero scalar leaves every rank unchanged."""
 
     def __init__(self, shape):
         tableaux = standard_tableaux(shape)
@@ -122,7 +120,6 @@ class Irrep:
         self.words = [tuple(x * (self.scale // q) for x in m)
                       for m, q in map(mats.get,
                                       itertools.permutations(range(n)))]
-        self.traces = [sum(m[::d + 1]) for m in self.words]
 
     def rows(self, v):
         """The rows of scale * rho_λ(v), for v an integer sparse vector
@@ -149,22 +146,6 @@ def irreps(n):
     """The ``Irrep`` of every partition of n, in ``partitions`` order;
     built on first use for each n, and shared."""
     return tuple(Irrep(shape) for shape in partitions(n))
-
-
-def multiplicities(n, character):
-    """The multiplicity (1/n!) sum_sigma chi(sigma) chi_λ(sigma) of each
-    irreducible, in ``partitions`` order, in the representation of S_n
-    whose character takes the value ``character[r]`` at the r-th word.
-    Raises ValueError if one is not a whole number."""
-    out = []
-    for rep in irreps(n):
-        m = Fraction(sum(x * t for x, t in zip(character, rep.traces)),
-                     rep.scale * factorial(n))
-        if m.denominator != 1:
-            raise ValueError(f"{rep.shape} has multiplicity {m}: the "
-                             f"values are not a character")
-        out.append(int(m))
-    return out
 
 
 def grow(n, vectors, caps):

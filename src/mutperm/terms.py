@@ -79,10 +79,8 @@ class TermPoly(Combination):
         return cls({t: coeff})
 
     def rename(self, mapping):
-        out = TermPoly.zero()
-        for t, c in self.terms.items():
-            out += TermPoly.term(rename_leaves(t, mapping), c)
-        return out
+        return TermPoly.linear((TermPoly.term(rename_leaves(t, mapping)), c)
+                               for t, c in self.terms.items())
 
     def variables(self):
         out = {}
@@ -114,6 +112,12 @@ def _magmatic_count(n):
 # product of polynomials may build: 30,240, the count at degree 6 (degree
 # 7 has 665,280).
 MAX_MAGMATIC = _magmatic_count(6)
+
+# Highest degree ``identities.new_identities`` scans.  At degree 6 the
+# scan with the six known identities ran past 420 s on a 2-core VM, so
+# it is refused at once; its expansion matrix and kernel multiplicities
+# are not.
+MAX_SCAN_DEGREE = 5
 
 
 def _combine(kind, a, b):
@@ -190,12 +194,10 @@ def multilinearize(poly):
         if k <= 1:
             continue
         fresh = [f"{name}#{i}" for i in range(1, k + 1)]
-        out = TermPoly.zero()
-        for t, c in poly.terms.items():
-            for perm in itertools.permutations(fresh):
-                out += TermPoly.term(
-                    _relabel_occurrences(t, name, perm, [0]), c)
-        poly = out
+        poly = TermPoly.linear(
+            (TermPoly.term(_relabel_occurrences(t, name, perm, [0])), c)
+            for t, c in poly.terms.items()
+            for perm in itertools.permutations(fresh))
     return poly
 
 

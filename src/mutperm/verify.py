@@ -37,25 +37,25 @@ def check_degree3_expansions():
     p, q = Elt.gen("p"), Elt.gen("q")
     x1, x2, x3, x4 = (Elt.gen(f"x{i}") for i in range(1, 5))
 
-    def com(a, b):
-        return commutator(a, b)
-
     cases = [
         ("<<x1,x2>,x3>",
          expand(bnode(bnode(_v("x1"), _v("x2")), _v("x3"))),
-         (p - q) * (p - q) * (x1 * x2 * x3) + p * q * (x1 * com(x2, x3))
-         - q * q * (x2 * com(x1, x3))),
+         (p - q) * (p - q) * (x1 * x2 * x3)
+         + p * q * (x1 * commutator(x2, x3))
+         - q * q * (x2 * commutator(x1, x3))),
         ("<x1,<x2,x3>>",
          expand(bnode(_v("x1"), bnode(_v("x2"), _v("x3")))),
-         (p - q) * (p - q) * (x1 * x2 * x3) + p * q * (x1 * com(x2, x3))
-         + p * q * (x2 * com(x1, x3)) - q * q * (x2 * com(x1, x3))),
+         (p - q) * (p - q) * (x1 * x2 * x3)
+         + p * q * (x1 * commutator(x2, x3))
+         + p * q * (x2 * commutator(x1, x3))
+         - q * q * (x2 * commutator(x1, x3))),
         ("<<x1,x2>,<x3,x4>>",
          expand(bnode(bnode(_v("x1"), _v("x2")),
                       bnode(_v("x3"), _v("x4")))),
          (p - q) * (p - q) * (p - q) * (x1 * x2 * x3 * x4)
-         + (p - q) * p * q * (x1 * x2 * com(x3, x4))
-         + (p - q) * p * q * (x1 * x3 * com(x2, x4))
-         - (p - q) * q * q * (x2 * x3 * com(x1, x4))),
+         + (p - q) * p * q * (x1 * x2 * commutator(x3, x4))
+         + (p - q) * p * q * (x1 * x3 * commutator(x2, x4))
+         - (p - q) * q * q * (x2 * x3 * commutator(x1, x4))),
     ]
     for name, got, want in cases:
         if got != want or str(got) != str(want):

@@ -87,7 +87,7 @@ def test_identities_unusable_known_identity_exits_2(capsys, monkeypatch,
     def refuse(n):
         raise AssertionError(f"degree-{n} expansion built before the checks")
 
-    monkeypatch.setattr(identities, "_expansion", refuse)
+    monkeypatch.setattr(identities, "expansion_matrix", refuse)
     code, out, err = run(capsys, "identities", "--degree", degree,
                          "--known", known)
     assert code == 2 and out == ""
@@ -138,7 +138,7 @@ def test_consecutive_calls_share_no_state(capsys):
 @pytest.mark.parametrize("degree", ["2", "4", "6"])
 def test_identities_paper_order_outside_degree_3_exits_2(capsys, degree):
     """The matrix exists only at degree 3, so the flag is refused there
-    before anything is built (degree 6 would not finish otherwise)."""
+    before anything is built."""
     t0 = time.monotonic()
     code, out, err = run(capsys, "identities", "--degree", degree,
                          "--known", "f,wa", "--paper-order")
@@ -420,8 +420,12 @@ SUM10 = "+".join(f"x{i}" for i in range(1, 11))
     ("cohn", "--generators", "0", "--target", "<x1,x2>"),
     ("cohn", "--generators", "<x1,x2>-<x1,x2>", "--target", "<<x1,x2>,x3>"),
     ("cohn", "--target", "<<x2,x3>,<x1,x4>>+<x1,x2>"),
+    ("identities", "--degree", "6"),
+    ("identities", "--degree", "6", "--known",
+     "f,wa,hbar,ibar,conj4a,conj4b"),
 ], ids=["balanced-8", "crit36-of-10-term-sums", "zero-generator",
-        "cancelling-generator", "target-not-multihomogeneous"])
+        "cancelling-generator", "target-not-multihomogeneous",
+        "identities-degree-6", "identities-degree-6-six-known"])
 def test_hostile_request_exits_2_in_a_child(argv):
     r = run_child(*argv)
     assert r.returncode == 2 and r.stdout == ""

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mutperm import identities, verify
+from mutperm import identities, linalg, verify
 from mutperm.identities import (_DegreeSpace, _as_poly_at_x, _lift_maps,
                                 consequence_span, consequences_per_lambda,
                                 expansion_matrix, identity_kernel,
@@ -364,12 +364,12 @@ def test_scans_keep_the_consequence_reducer(count_inserts):
     (580) and 6,149 (1,762).  The scan scores candidates per irreducible:
     of the 731 inserts (487 accepted), 683 (442) are per-irreducible rows
     and 48 (45) the two representatives' orbits; ``rref``, which ranks
-    the expansion matrix for the kernel multiplicities and its transpose
-    for the kernel, makes no insert.  Reducing the representatives modulo
-    the closed direct consequence span made 961 (554), and orbit trials
-    in that span 895 (512).  The membership test made 2,873 (1,762)
-    before the lifted closure ended each coset chain at its lift's own
-    variable."""
+    the orbit sums of the expansion matrix's rows for the kernel
+    multiplicities and the transpose for the kernel, makes no insert.
+    Reducing the representatives modulo the closed direct consequence
+    span made 961 (554), and orbit trials in that span 895 (512).  The
+    membership test made 2,873 (1,762) before the lifted closure ended
+    each coset chain at its lift's own variable."""
     calls = count_inserts
     T = TEMPLATES
     rep = new_identities([T["f"], T["wa"], T["hbar"], T["ibar"]], 4)
@@ -674,6 +674,26 @@ def test_closed_scans_never_build_the_direct_span(monkeypatch):
     for known, n, want in (([T[name] for name in KNOWN4], 4, (107, 92, 2)),
                            ([], 3, (5, 0, 2)), ([T["f"]], 4, (107, 20, 5))):
         assert dims(new_identities(known, n))[:3] == want
+
+
+def test_closed_degree5_scan_never_eliminates_the_expansion_matrix(
+        monkeypatch):
+    """The six identities close the degree-5 kernel, and the kernel
+    multiplicities are two ranks, of the 14 S_5-orbit sums and the 70
+    S_4-orbit sums of the rows: no rref of the 1,680-row expansion
+    matrix, nor of its transpose."""
+    shapes = []
+    eliminate = linalg.rref
+
+    def recording(m):
+        shapes.append((m.nrows, m.ncols))
+        return eliminate(m)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    monkeypatch.setattr(identities, "rref", recording)
+    six = [TEMPLATES[name] for name in KNOWN4 + ("conj4a", "conj4b")]
+    assert dims(new_identities(six, 5)) == (1659, 1659, 0, [])
+    assert shapes == [(14, 25), (70, 25)]
 
 
 def per_round_dims(known, n):

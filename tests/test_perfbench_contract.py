@@ -3,7 +3,8 @@ of a workload, one traced pass must still record a call of every layer
 the workload names in ``expected_spans``, as ``perfbench/run.py --trace 1``
 requires after its untraced passes.  A result cached across calls would
 leave such a layer uncalled once warm, which perfbench's own tiny test,
-tracing a cold first pass, does not see.
+tracing a cold first pass, does not see.  Each workload runs tiny and at
+full size, as the benchmark runs it.
 
     python -m pytest tests/test_perfbench_contract.py -q
 """
@@ -23,10 +24,12 @@ from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS, Tally  # noqa: E402
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_warm_traced_pass_reaches_every_expected_layer(name):
+@pytest.mark.parametrize("name,tiny", [
+    pytest.param(name, tiny, id=name if tiny else f"{name}-full")
+    for name in sorted(WORKLOADS) for tiny in (True, False)])
+def test_warm_traced_pass_reaches_every_expected_layer(name, tiny):
     cls = WORKLOADS[name]
-    workload = cls(seed=3, tiny=True)
+    workload = cls(seed=3, tiny=tiny)
     tally = Tally()
     run.measure(workload, tally, 0)
     tracer = Tracer(coarse=run.COARSE_SPANS + tuple(f"phase.{p}"

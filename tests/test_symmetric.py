@@ -1,15 +1,16 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from mutperm.identities import (consequence_span, consequences_per_lambda,
                                 expansion_matrix, kernel_multiplicities)
+from mutperm.linalg import rref
 from mutperm.mutation import enumerate_B
 from mutperm.perm import x_multidegree
-from mutperm.symmetric import (dimension, irreps, multiplicities, partitions,
-                               standard_tableaux)
+from mutperm.symmetric import dimension, irreps, partitions, standard_tableaux
 from mutperm.terms import TEMPLATES
 
 DEGREES = range(1, 6)
@@ -78,6 +79,45 @@ def test_homomorphism_on_seeded_pairs(n):
                 rep.scale * x for x in rho[ab])
 
 
+def multiplicities(n, character):
+    """The multiplicity (1/n!) sum_sigma chi(sigma) chi_λ(sigma) of each
+    irreducible, in ``partitions`` order, in the representation of S_n
+    whose character takes the value ``character[r]`` at the r-th word.
+    Raises ValueError if one is not a whole number."""
+    out = []
+    for rep in irreps(n):
+        traces = [sum(m[::rep.dim + 1]) for m in rep.words]
+        m = Fraction(sum(x * t for x, t in zip(character, traces)),
+                     rep.scale * math.factorial(n))
+        if m.denominator != 1:
+            raise ValueError(f"{rep.shape} has multiplicity {m}: the "
+                             f"values are not a character")
+        out.append(int(m))
+    return out
+
+
+def character_multiplicities(n):
+    """Oracle for ``kernel_multiplicities``, from the whole character of
+    the expansion map's image: dim K = rows - rank, and m_λ(K) =
+    C*d_λ - m_λ(image), V_n being C = Catalan(n-1) copies of QS_n.  The
+    image character at sigma is sum_i (sigma.row_i)[pivot_i] over the
+    RREF rows of ``expansion_matrix(n)``: sigma.row_i lies in the image,
+    whose vectors u are sum_i u[pivot_i] row_i.  sigma sends column
+    t*n + k, tail x_(t+1) with k q's, to column sigma(t)*n + k; the sum
+    takes the entry there, the value of (sigma^-1.row_i)[pivot_i], and
+    every permutation is conjugate to its inverse."""
+    mat = expansion_matrix(n)
+    ech, rank = rref(mat)
+    words = list(itertools.permutations(range(n)))
+    pivots = [(row, divmod(min(row), n)) for row in ech.rows]
+    image = multiplicities(n, [
+        sum(row.get(sigma[t] * n + k, 0) for row, (t, k) in pivots)
+        for sigma in words])
+    shapes = mat.nrows // len(words)
+    return mat.nrows - rank, [shapes * rep.dim - m
+                              for rep, m in zip(irreps(n), image)]
+
+
 def test_regular_character_has_multiplicity_d():
     n = 4
     regular = [math.factorial(n)] + [0] * (math.factorial(n) - 1)
@@ -94,12 +134,23 @@ def test_kernel_multiplicities_pinned():
         30209, [41, 204, 378, 420, 210, 672, 420, 210, 378, 210, 42])
 
 
+@pytest.mark.parametrize("n", DEGREES)
+def test_two_rank_multiplicities_match_the_character(n):
+    assert kernel_multiplicities(n) == character_multiplicities(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_kernel_dimension_is_the_corank_of_the_expansion_matrix(n):
+    mat = expansion_matrix(n)
+    assert kernel_multiplicities(n, mat)[0] == mat.nrows - rref(mat)[1]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_image_multiplicities_match_multilinear_B(n):
     """Independent oracle for the dims 7/13/21: the image of the
     expansion map is n^2 - n + 1 dimensional, the number of multilinear
     elements of B in x1..xn."""
-    kdim, kernel = kernel_multiplicities(n)
+    kdim, kernel = character_multiplicities(n)
     shapes = expansion_matrix(n).nrows // math.factorial(n)
     image = [shapes * rep.dim - m for rep, m in zip(irreps(n), kernel)]
     # (n) once and (n-1, 1) n times
