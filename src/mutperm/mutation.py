@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .linalg import SpanReducer, sparse_vec
-from .perm import (Elt, bracket, commutator, gkey, is_x, normalize_word,
-                   x_multidegree)
+from .perm import Elt, bracket, commutator, gkey, is_x, normalize_word
 from .terms import fold
 
 
@@ -187,7 +186,7 @@ def _rename(terms, mapping):
     get = mapping.get
     keys = [gkey(mapping[g]) for g in sorted(mapping, key=gkey)]
     if keys == sorted(keys):
-        return Elt({(tuple(get(g, g) for g in prefix), get(tail, tail)): c
+        return Elt({(tuple(map(get, prefix, prefix)), get(tail, tail)): c
                     for (prefix, tail), c in terms.items()})
     return Elt({normalize_word(get(g, g) for g in prefix + (tail,)): c
                 for (prefix, tail), c in terms.items()})
@@ -282,9 +281,9 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
     multilinear_dim (the number of multilinear B elements).  B elements
     are multihomogeneous in x, so span B is the direct sum over the
     x-multidegrees m of span B_m, B_m being the B elements of multidegree
-    m.  For each m over x1..x{n_vars} with 1 <= |m| <= ``degree``, B_m
-    goes into its own reducer, of rank r_m.  B is independent when every
-    r_m = |B_m|.
+    m.  For each m over x1..x{n_vars} with 1 <= |m| <= ``degree``, let
+    r_m be the rank of B_m, in a reducer of its own.  B is independent
+    when every r_m = |B_m|.
 
     B spans when, for every m with canonical pattern c (``_canonical``),
     B_m renamed to c lies in T_c and r_m = dim T_c.  T_c is spanned by x1
@@ -301,6 +300,21 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
     gives span B_m = S_m.  The closed form of ``is_mutation_element`` is
     not used.
 
+    That check runs in full once per composition, the multiplicities of
+    m in letter order: (2, 1) for {x2: 2, x5: 1}.  Let mu_m rename the
+    letters of m, in order, to x1..xk; it keeps their order, so
+    ``_rename`` skips ``normalize_word``.  The first multidegree m0 of a
+    composition, the one on x1..xk, is checked in full.  A later m whose
+    mu_m(B_m) equals mu_m0(B_m0), element for element and in order, takes
+    m0's flags.  Proof: B_m and B_m0 are written in the letters of m and
+    m0, and mu = mu_m^-1 mu_m0 renames x-generators injectively and fixes
+    p and q, so it is an automorphism of the free perm algebra that
+    commutes with the bracket (``_canonical``).  It maps the bracket
+    monomials of m0 onto those of m, so mu(S_m0) = S_m, and the equality
+    gives mu(B_m0) = B_m.  So r_m = r_m0, |B_m| = |B_m0|, and span B_m =
+    S_m exactly when span B_m0 = S_m0.  Any other B_m, a faulty one
+    included, is checked in full.
+
     Closure is the same flag: when B spans, <B_m1, B_m2> lies in
     S_(m1+m2) = span B_(m1+m2) whenever |m1| + |m2| <= ``degree``, and at
     a canonical pattern c the check tests this literally, as span B_c =
@@ -314,15 +328,24 @@ def verify_basis_B(n_vars, degree, closure_degree=None):
                          f"degree {degree}")
     by_mdeg = {}
     for b in enumerate_B(n_vars, degree):
-        key = _key(x_multidegree(next(iter(b.value.terms))))
+        prefix, tail = next(iter(b.value.terms))
+        xs = [g for g in prefix + (tail,) if is_x(g)]
+        key = _key({g: xs.count(g) for g in xs})
         by_mdeg.setdefault(key, []).append(b.value)
 
-    bracket_spans = {}
+    bracket_spans, checked = {}, {}
     independent = spans = True
     for d in range(1, degree + 1):
         for mdeg in _multidegrees(n_vars, d):
             key = _key(mdeg)
             group = by_mdeg.get(key, [])
+            names = sorted(mdeg, key=gkey)
+            in_order = {n: _xname(i + 1) for i, n in enumerate(names)}
+            renamed = [_rename(v.terms, in_order) for v in group]
+            composition = tuple(mdeg[n] for n in names)
+            if composition in checked and checked[composition] == renamed:
+                continue
+            checked.setdefault(composition, renamed)
             red, columns = SpanReducer(), {}
             rank = sum(red.insert(sparse_vec(v.terms, columns)) for v in group)
             independent = independent and rank == len(group)

@@ -413,13 +413,15 @@ def _brackets_stay_in_B(n_vars, degree):
 
 
 @pytest.mark.parametrize("n_vars,degree,inserts", [
-    (3, 3, (70, 62)), (4, 4, (500, 364)), (5, 4, (860, 724)),
-    (5, 5, (3026, 2042))])
+    (3, 3, (44, 36)), (4, 4, (261, 125)), (5, 4, (261, 125)),
+    (5, 5, (1357, 373))])
 def test_verify_basis_B_insert_count(count_inserts, n_vars, degree, inserts):
-    """One insert per B element into its multidegree's reducer, plus one
-    per bracket <a, b> of B elements over the ordered splits of each
-    canonical pattern (x1 alone at degree 1); the accepted ones are the
-    ranks, sum |B_m| + sum dim S_c."""
+    """One insert per B element of each composition's first multidegree
+    (the one on x1..xk) into its reducer, plus one per bracket <a, b> of
+    B elements over the ordered splits of each canonical pattern (x1
+    alone at degree 1); the accepted ones are the ranks, sum |B_m| over
+    those multidegrees + sum dim S_c.  With one reducer per multidegree
+    the counts were (70, 62), (500, 364), (860, 724) and (3026, 2042)."""
     rep = verify_basis_B(n_vars, degree)
     assert rep["independent"] and rep["spans"], (n_vars, degree)
     assert (len(count_inserts), sum(count_inserts)) == inserts
@@ -472,6 +474,110 @@ def test_verify_basis_B_reports_injected_faults(monkeypatch):
     rep = report(real + [bad])
     assert rep["independent"] and not rep["spans"]
     assert not rep["closed_under_bracket"]
+
+
+def per_multidegree_verify_basis_B(n_vars, degree):
+    """Oracle: ``verify_basis_B`` with the full check at every
+    multidegree, none of them taking its composition's result."""
+    by_mdeg = {}
+    for b in mutation.enumerate_B(n_vars, degree):
+        key = mutation._key(x_multidegree(next(iter(b.value.terms))))
+        by_mdeg.setdefault(key, []).append(b.value)
+
+    bracket_spans = {}
+    independent = spans = True
+    for d in range(1, degree + 1):
+        for mdeg in mutation._multidegrees(n_vars, d):
+            key = mutation._key(mdeg)
+            group = by_mdeg.get(key, [])
+            red, columns = SpanReducer(), {}
+            rank = sum(red.insert(sparse_vec(v.terms, columns)) for v in group)
+            independent = independent and rank == len(group)
+            ckey, mapping = mutation._canonical(key)
+            if ckey not in bracket_spans:
+                bracket_spans[ckey] = mutation._bracket_span(ckey, by_mdeg)
+            span, columns = bracket_spans[ckey]
+            spans = spans and rank == span.dim and all(
+                span.contains(sparse_vec(
+                    mutation._rename(v.terms, mapping).terms, columns))
+                for v in group)
+
+    ml_key = mutation._key(dict.fromkeys(
+        (f"x{i}" for i in range(1, n_vars + 1)), 1))
+    return {"independent": independent, "spans": spans,
+            "closed_under_bracket": spans,
+            "multilinear_dim": len(by_mdeg.get(ml_key, []))}
+
+
+def _with_parameter_tail(b):
+    """b plus a monomial of its multidegree that has a parameter tail."""
+    prefix, tail = next(iter(b.value.terms))
+    moved = (tuple(sorted(prefix[:-1] + (tail,), key=gkey)), prefix[-1])
+    return BSetElement(b.family, b.data, b.value + Elt.monomial(moved))
+
+
+def _faults_at(real, multidegree):
+    """B with one element of the multidegree dropped, doubled (a second,
+    scaled copy), or given a parameter-tail monomial."""
+    at = [i for i, b in enumerate(real)
+          if x_multidegree(next(iter(b.value.terms))) == multidegree]
+    assert at, multidegree
+    i = at[len(at) // 2]
+    b = real[i]
+    doubled = BSetElement(b.family, b.data, b.value.scale(2))
+    return {"dropped": real[:i] + real[i + 1:],
+            "doubled": real[:i + 1] + [doubled] + real[i + 1:],
+            "parameter tail": real[:i] + [_with_parameter_tail(b)]
+            + real[i + 1:]}
+
+
+@pytest.mark.parametrize("n_vars,degree", [(3, 3), (4, 4), (5, 4), (5, 5)])
+def test_verify_basis_B_matches_per_multidegree_oracle(n_vars, degree):
+    assert verify_basis_B(n_vars, degree) == per_multidegree_verify_basis_B(
+        n_vars, degree)
+
+
+@pytest.mark.parametrize("n_vars,degree,checks", [
+    (3, 3, 7), (4, 4, 15), (5, 4, 15), (5, 5, 31)])
+def test_verify_basis_B_checks_each_composition_once(monkeypatch, n_vars,
+                                                     degree, checks):
+    """On the true B, one full check (one ``_canonical`` call) per
+    composition of 1..degree into at most n_vars parts."""
+    calls = []
+    canonical = mutation._canonical
+
+    def counting(key):
+        calls.append(key)
+        return canonical(key)
+
+    monkeypatch.setattr(mutation, "_canonical", counting)
+    rep = verify_basis_B(n_vars, degree)
+    assert rep["independent"] and rep["spans"]
+    assert len(calls) == checks
+
+
+def test_verify_basis_B_faults_match_per_multidegree_oracle(monkeypatch):
+    """Every fault of test_verify_basis_B_reports_injected_faults, and
+    faults planted in a composition's first multidegree ({x1: 1, x2: 2})
+    and in a later one ({x2: 1, x3: 2}), are reported as the oracle
+    reports them, and are found."""
+    real = enumerate_B(3, 3)
+    faults = {"duplicate": real + real[-1:],
+              "doubled last": real + [BSetElement(
+                  real[-1].family, real[-1].data, real[-1].value.scale(2))],
+              "parameter tail last": real + [_with_parameter_tail(real[-1])]}
+    for family in ("X", "B1", "B2", "B3"):
+        last = max(i for i, b in enumerate(real) if b.family == family)
+        faults["no last " + family] = real[:last] + real[last + 1:]
+    for multidegree in ({"x1": 1, "x2": 2}, {"x2": 1, "x3": 2}):
+        for name, elements in _faults_at(real, multidegree).items():
+            faults[f"{name} at {multidegree}"] = elements
+    assert len(faults) == 13
+    for name, elements in faults.items():
+        monkeypatch.setattr(mutation, "enumerate_B", lambda n, d: elements)
+        rep = verify_basis_B(3, 3)
+        assert rep == per_multidegree_verify_basis_B(3, 3), name
+        assert not all(rep.values()), name
 
 
 def test_verify_basis_B_detects_failure():
